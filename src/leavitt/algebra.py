@@ -35,7 +35,6 @@ from fractions import Fraction
 
 from . import scalars
 from .errors import (
-    AlgebraError,
     FieldMismatchError,
     MixedGraphsError,
     NotReducedError,
@@ -61,12 +60,6 @@ class PathMonomial:
     def __str__(self):
         parts = list(self.gamma.edges) + [f"{e}^*" for e in reversed(self.lam.edges)]
         return "*".join(parts) if parts else self.gamma.source
-
-
-def monomial(g: Graph, gamma: Path, lam: Path) -> PathMonomial:
-    if gamma.end != lam.end:
-        raise AlgebraError(f"monomial ranges differ: r({gamma}) = {gamma.end}, r({lam}) = {lam.end}")
-    return PathMonomial(gamma, lam)
 
 
 def _strip_last(p: Path, g: Graph) -> Path:
@@ -205,9 +198,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self == AlgebraElement.one(self.graph, self.field)
 
     def _check_graph(self, other: "AlgebraElement"):
         if self.graph is not other.graph and self.graph != other.graph:

@@ -14,7 +14,10 @@ Subcommands operate on a graph JSON file (schema: {"vertices": [...],
     verify-free      exhaustive reduced-word check for a generator pair
 
 Exit status: 0 on success, 1 on domain errors (e.g. a pair that is not
-admissible), 2 on usage or parse errors.
+admissible), 2 on usage or parse errors.  Errors print as "error: ..." on
+stderr, or under --json as {"error": {"type", "message", "transcript"}} on
+stdout (the transcript is the discovery scan for NoWitnessFoundError, else
+null).
 """
 
 from __future__ import annotations
@@ -270,11 +273,23 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, args.json, 2)
     except LeavittError as exc:
+        return _fail(exc, args.json, 1)
+
+
+def _fail(exc: Exception, as_json: bool, code: int) -> int:
+    """Report an error as JSON on stdout under --json, else as one stderr line."""
+    if as_json:
+        error = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "transcript": getattr(exc, "transcript", None),
+        }
+        print(json.dumps({"error": error}, indent=2))
+    else:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return code
 
 
 if __name__ == "__main__":

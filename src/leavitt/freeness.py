@@ -448,8 +448,9 @@ def _matrix_context(cert: FreePairCertificate):
         module = SinkModule(q, w.sink, cert.a.field)
         basis = invariant_pair(module, w.edge)
     elif isinstance(w, BreakingVertexWitness):
-        module = SinkModule(q, f"{w.vertex}'", cert.a.field)
-        basis = invariant_pair(module, f"{w.edge}'")
+        clones = cert.pair.clones
+        module = SinkModule(q, clones[w.vertex], cert.a.field)
+        basis = invariant_pair(module, clones[w.edge])
     elif isinstance(w, InfinitePathEdgeWitness):
         prefix = q.path(w.tail_source, w.tail_prefix)
         cycle = q.path(prefix.end, w.tail_cycle)

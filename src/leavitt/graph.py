@@ -416,13 +416,36 @@ class Graph:
         )
 
 
+def clone_names(g: Graph, cloned: Iterable[str]) -> dict[str, str]:
+    """Names of the primed clones a quotient adds for the vertex set ``cloned``.
+
+    Each vertex of ``cloned``, and each edge or bundle with range in it, maps
+    to its clone's name: the name with a prime appended, plus further primes
+    while the result is a name of ``g`` or of an earlier clone.  Vertices
+    come first, then edges and bundles, each in sorted order, so the table is
+    a function of the graph and the set alone.
+    """
+    heads = frozenset(cloned)
+    arrows = [n for pool in (g.edges, g.bundles) for n, e in pool.items() if e.dst in heads]
+    taken = set(g.vertices) | set(g.edges) | set(g.bundles)
+    names = {}
+    for name in sorted(heads) + sorted(arrows):
+        clone = f"{name}'"
+        while clone in taken:
+            clone += "'"
+        taken.add(clone)
+        names[name] = clone
+    return names
+
+
 def quotient_graph(g: Graph, H: Iterable[str], S: Iterable[str]) -> Graph:
     """The quotient graph by an admissible pair (H, S).
 
     Vertices: complement of H plus a primed clone v' for every breaking
     vertex v outside S.  Edges with range in H disappear; edges with range
     in B_H\\S additionally get a primed clone e' with r(e') = r(e)'.
-    Bundles behave like their member edges.
+    Bundles behave like their member edges.  Clone names come from
+    :func:`clone_names` of B_H\\S.
     """
     Hs = frozenset(g.require_vertex(v) for v in H)
     Ss = frozenset(g.require_vertex(v) for v in S)
@@ -432,24 +455,21 @@ def quotient_graph(g: Graph, H: Iterable[str], S: Iterable[str]) -> Graph:
     if not Ss <= B:
         raise NotAdmissibleError(f"S={sorted(Ss)} is not a subset of the breaking vertices {sorted(B)}")
     cloned = B - Ss
+    clones = clone_names(g, cloned)
 
     vertices = [v for v in g.vertices if v not in Hs]
-    vertices += [f"{v}'" for v in sorted(cloned)]
-    edges = []
-    for e in g.edges.values():
-        if e.dst in Hs:
-            continue
-        edges.append(e)
-        if e.dst in cloned:
-            edges.append(Edge(f"{e.name}'", e.src, f"{e.dst}'"))
-    bundles = []
-    for b in g.bundles.values():
-        if b.dst in Hs:
-            continue
-        bundles.append(b)
-        if b.dst in cloned:
-            bundles.append(Edge(f"{b.name}'", b.src, f"{b.dst}'"))
-    return Graph(vertices, edges, bundles)
+    vertices += [clones[v] for v in sorted(cloned)]
+    pools = []
+    for pool in (g.edges, g.bundles):
+        kept = []
+        for e in pool.values():
+            if e.dst in Hs:
+                continue
+            kept.append(e)
+            if e.dst in cloned:
+                kept.append(Edge(clones[e.name], e.src, clones[e.dst]))
+        pools.append(kept)
+    return Graph(vertices, *pools)
 
 
 # JSON schema: {"vertices": [...], "edges": [{"name","src","dst"}...], "bundles": [...]}

@@ -9,7 +9,23 @@ quotient graph.  The epimorphism phi onto the quotient sends
     v  ->  v        if v survives unprimed,
     v  ->  0        if v lies in H,
 
-and edges (and their ghosts) follow their range vertex the same way.
+and edges (and their ghosts) follow their range vertex the same way.  On a
+monomial c g l* with common range r this has the closed form
+
+    phi(c g l*)  =  0                      if r lies in H,
+                    c g l* + c g' l'*      if r lies in B_H \\ S,
+                    c g l*                 otherwise,
+
+where p' is p with its last edge replaced by its clone (the trivial path
+at r' when p is trivial).  Proof: H is hereditary, so an edge of g or l
+with range in H forces r into H, and otherwise every edge survives;
+each clone v' is a sink of the quotient, so e' f = 0 and a primed edge
+can only be the last one, while the cross terms g l'* and g' l* vanish
+because r r' = 0.  The images are monomials over the quotient graph but
+not always basis monomials there (breaking vertices become regular, and
+a clone e' can become the special edge), so one normalization over the
+quotient finishes the job.
+
 Membership in I(H, S) is exactly phi(a) = 0, which is decidable because the
 quotient algebra has canonical normal forms.
 
@@ -43,7 +59,7 @@ from .errors import (
     TypeIIIMembershipUnsupportedError,
     ZeroConstantTermError,
 )
-from .graph import Graph, Path, quotient_graph
+from .graph import Graph, Path, clone_names, quotient_graph
 from .scalars import QQ, ExtensionField, LaurentPoly
 
 DEFAULT_CYCLE_POLY = LaurentPoly.parse("1 + x + x^2")
@@ -68,6 +84,7 @@ class AdmissiblePair:
             raise NotAdmissibleError(
                 f"S={sorted(self.S)} is not a subset of the breaking vertices {sorted(self.breaking)}"
             )
+        self._clones: dict[str, str] | None = None
         self._quotient: Graph | None = None
 
     @property
@@ -79,13 +96,33 @@ class AdmissiblePair:
         """Breaking vertices outside S; these acquire primed clones."""
         return self.breaking - self.S
 
+    @property
+    def clones(self) -> dict[str, str]:
+        """Clone name of each vertex of B_H \\ S and each edge or bundle into it.
+
+        The cached :func:`clone_names` table; :func:`quotient_graph` computes
+        the same table from the same graph and set, so the names agree.
+        """
+        if self._clones is None:
+            self._clones = clone_names(self.graph, self.unresolved)
+        return self._clones
+
     def quotient_graph(self) -> Graph:
         if self._quotient is None:
             self._quotient = quotient_graph(self.graph, self.H, self.S)
         return self._quotient
 
     def phi(self, a: AlgebraElement) -> AlgebraElement:
-        """Apply the quotient epimorphism and normalize over the quotient."""
+        """Apply the quotient epimorphism and normalize over the quotient.
+
+        Each term c g l* with range r maps to nothing when r is in H, to
+        c g l* + c g' l'* when r is in B_H \\ S (g', l' end in the clone of
+        their last edge, or are the trivial path at r'), and to itself
+        otherwise.  Why: H is hereditary, so a path with an edge into H ends
+        in H; clones are sinks, so only a last edge can be primed and the
+        cross terms g l'*, g' l* vanish; and one normalization over the
+        quotient graph restores basis form.
+        """
         if a.graph is not self.graph and a.graph != self.graph:
             raise NotAdmissibleError("element does not live over this pair's graph")
         if not self.complement:
@@ -94,45 +131,21 @@ class AdmissiblePair:
                 "which is not a unital path algebra"
             )
         q = self.quotient_graph()
-        field = a.field
-        cloned = self.unresolved
-
-        def vertex_image(v: str) -> AlgebraElement:
-            if v in self.H:
-                return AlgebraElement.zero(q, field)
-            img = AlgebraElement.vertex(q, v, field)
-            if v in cloned:
-                img = img + AlgebraElement.vertex(q, f"{v}'", field)
-            return img
-
-        def edge_image(name: str, ghost: bool) -> AlgebraElement:
-            dst = self.graph.edges[name].dst
-            if dst in self.H:
-                return AlgebraElement.zero(q, field)
-            make = AlgebraElement.ghost if ghost else AlgebraElement.edge
-            img = make(q, name, field)
-            if dst in cloned:
-                img = img + make(q, f"{name}'", field)
-            return img
-
-        def path_image(p: Path, ghost: bool) -> AlgebraElement:
-            if p.is_vertex:
-                return vertex_image(p.source)
-            factors = [edge_image(name, ghost) for name in p.edges]
-            if ghost:
-                factors.reverse()
-            result = factors[0]
-            for f in factors[1:]:
-                result = result * f
-            return result
-
-        total = AlgebraElement.zero(q, field)
+        H, clones = self.H, self.clones
+        raw = []
         for mono, coeff in a.terms.items():
-            img = path_image(mono.gamma, ghost=False)
-            if mono.lam.edges or mono.gamma.is_vertex:
-                img = img * path_image(mono.lam, ghost=True)
-            total = total + img.scale(coeff)
-        return total
+            end = mono.gamma.end
+            if end in H:
+                continue
+            raw.append((mono, coeff))
+            # graph names are unique, so a vertex key here means r is in B_H \ S
+            head = clones.get(end)
+            if head is not None:
+                primed = PathMonomial(
+                    _primed(mono.gamma, clones, head), _primed(mono.lam, clones, head)
+                )
+                raw.append((primed, coeff))
+        return AlgebraElement.from_terms(q, raw, a.field)
 
     def contains(self, a: AlgebraElement) -> bool:
         """Graded-ideal membership: a lies in I(H, S) iff phi(a) = 0."""
@@ -157,6 +170,14 @@ class AdmissiblePair:
     @classmethod
     def from_json(cls, graph: Graph, data: dict) -> "AdmissiblePair":
         return cls(graph, data.get("H", []), data.get("S", []))
+
+
+def _primed(p: Path, clones: dict[str, str], head: str) -> Path:
+    """p with its last edge cloned, ending at ``head``; the trivial path at
+    ``head`` when p is trivial."""
+    if not p.edges:
+        return Path(head, (), head)
+    return Path(p.source, p.edges[:-1] + (clones[p.edges[-1]],), head)
 
 
 def breaking_vertex_element(g: Graph, H, w: str, field=QQ) -> AlgebraElement:

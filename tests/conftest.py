@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from leavitt import examples
-from leavitt.algebra import AlgebraElement
+from leavitt.algebra import AlgebraElement, PathMonomial
 from leavitt.exprs import Diff, EdgeSym, GhostSym, Lit, Neg, Prod, Sum, VertexSym, evaluate
-from leavitt.graph import Graph
+from leavitt.graph import Graph, Path
 
 
 @pytest.fixture
@@ -195,3 +195,114 @@ def relation_elements(g: Graph, field=None):
             acc = acc - edge[name] * ghost[name]
         out.append((f"CK2[{v}]", acc))
     return out
+
+
+def random_bundle_graph(rng) -> Graph:
+    """A small graph whose last vertex is a sink fed by bundles, so that
+    pairs with H around the sink usually have breaking vertices."""
+    n = rng.randint(3, 5)
+    verts = [f"v{i}" for i in range(n)]
+    sink = verts[-1]
+    edges = []
+    for i in range(rng.randint(2, 6)):
+        src = rng.choice(verts[:-1])
+        edges.append((f"e{i}", src, rng.choice(verts)))
+    bundles = []
+    for i, src in enumerate(verts[:-1]):
+        if rng.random() < 0.6:
+            bundles.append((f"b{i}", src, sink))
+    if rng.random() < 0.5:
+        src, dst = rng.sample(verts[:-1], 2)
+        bundles.append(("bx", src, dst))
+    return Graph(verts, edges, bundles)
+
+
+def random_path_into(rng, g: Graph, r: str, max_len: int = 2):
+    """A random path of explicit edges ending at r, walked backwards."""
+    edges, src = (), r
+    for _ in range(rng.randint(0, max_len)):
+        ins = g.in_edges(src)
+        if not ins:
+            break
+        name = rng.choice(ins)
+        edges, src = (name,) + edges, g.edges[name].src
+    return Path(src, edges, r)
+
+
+def random_monomial_element(rng, g: Graph, per_vertex: int = 2) -> AlgebraElement:
+    """Random terms g l* (vertices, edges, ghosts and e f* shapes) with
+    every vertex of g occurring as a range."""
+    raw = []
+    for r in g.vertices:
+        for _ in range(rng.randint(1, per_vertex)):
+            mono = PathMonomial(random_path_into(rng, g, r), random_path_into(rng, g, r))
+            raw.append((mono, Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3]))))
+    return AlgebraElement.from_terms(g, raw)
+
+
+def brute_phi(pair, a: AlgebraElement) -> AlgebraElement:
+    """The quotient map by (pair.H, pair.S) as a product of generator images.
+
+    Uses only the pair's graph, H and S: the breaking vertices, clone names
+    and quotient graph are rebuilt here from the graph data, every vertex,
+    edge and ghost is sent to its image (v -> v + v', e -> e + e' for the
+    cloned ones, zero on H), and each term is the product of the images of
+    its source vertex and its letters.
+    """
+    g, H, S = pair.graph, frozenset(pair.H), frozenset(pair.S)
+    breaking = {
+        v
+        for v in g.vertices
+        if v not in H
+        and g.out_bundles(v)
+        and all(g.bundles[b].dst in H for b in g.out_bundles(v))
+        and any(g.edges[e].dst not in H for e in g.out_edges(v))
+    }
+    cloned = breaking - S
+    clone, taken = {}, set(g.vertices) | set(g.edges) | set(g.bundles)
+    arrows = [n for pool in (g.edges, g.bundles) for n, e in pool.items() if e.dst in cloned]
+    for name in sorted(cloned) + sorted(arrows):
+        new = name + "'"
+        while new in taken:
+            new += "'"
+        taken.add(new)
+        clone[name] = new
+
+    def kept(pool):
+        out = [e for e in pool.values() if e.dst not in H]
+        return out + [(clone[e.name], e.src, clone[e.dst]) for e in out if e.dst in cloned]
+
+    q = Graph(
+        [v for v in g.vertices if v not in H] + [clone[v] for v in sorted(cloned)],
+        kept(g.edges),
+        kept(g.bundles),
+    )
+    field = a.field
+
+    def vertex_image(v):
+        if v in H:
+            return AlgebraElement.zero(q, field)
+        img = AlgebraElement.vertex(q, v, field)
+        if v in cloned:
+            img = img + AlgebraElement.vertex(q, clone[v], field)
+        return img
+
+    def letter_image(name, ghost):
+        dst = g.edges[name].dst
+        if dst in H:
+            return AlgebraElement.zero(q, field)
+        make = AlgebraElement.ghost if ghost else AlgebraElement.edge
+        img = make(q, name, field)
+        if dst in cloned:
+            img = img + make(q, clone[name], field)
+        return img
+
+    total = AlgebraElement.zero(q, field)
+    for mono, coeff in a.terms.items():
+        img = vertex_image(mono.gamma.source)
+        for name in mono.gamma.edges:
+            img = img * letter_image(name, False)
+        for name in reversed(mono.lam.edges):
+            img = img * letter_image(name, True)
+        total = total + img.scale(coeff)
+    return total

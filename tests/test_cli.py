@@ -189,3 +189,26 @@ def test_dangling_graph_is_domain_error(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 1
     assert "unknown vertex" in err
+
+
+def test_json_errors_on_stdout(graph_file, capsys, tmp_path):
+    from leavitt.graph import Graph
+
+    loops = graph_file(Graph(["u", "v"], [("e", "u", "u"), ("f", "v", "v")]))
+    code, out, err = run(capsys, "free-gens", loops, "--json")
+    assert code == 1 and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "NoWitnessFoundError"
+    assert "commutative" in error["message"]
+    assert error["transcript"] == ["graph is a disjoint union of isolated vertices and single loops"]
+
+    code, out, err = run(capsys, "free-gens", loops)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the algebra is commutative")
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    code, out, err = run(capsys, "validate", str(bad), "--json")
+    assert code == 2 and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "SchemaError" and error["transcript"] is None

@@ -238,6 +238,28 @@ def test_certificate_json_roundtrip(toeplitz, double_emitter, bundle_inflow):
             assert again.to_json() == data
 
 
+def test_clone_names_avoid_existing_primed_names():
+    # w is breaking for H = {u}; its clone cannot be called w' because the
+    # graph already has a vertex of that name
+    g = Graph(["u", "w", "w'"], [("k", "w", "w'"), ("f", "w'", "w")], [("bw", "w", "u")])
+    certs = find_free_generators(g)
+    breaking = [c for c in certs if isinstance(c.witness, BreakingVertexWitness)]
+    assert [c.pair.clones for c in breaking] == [{"w": "w''", "f": "f'"}]
+    for cert in breaking:
+        # the cached table names exactly what the quotient graph added
+        q = cert.pair.quotient_graph()
+        added = (set(q.vertices) | set(q.edges) | set(q.bundles)) - (
+            set(g.vertices) | set(g.edges) | set(g.bundles)
+        )
+        assert added == set(cert.pair.clones.values())
+    for cert in certs:
+        assert verify_free_words(cert, 3, "both")["all_nontrivial"]
+        data = cert.to_json()
+        again = FreePairCertificate.from_json(g, data)
+        assert again.to_json() == data
+        assert verify_free_words(again, 3, "both")["all_nontrivial"]
+
+
 def test_infinite_path_witness_tail_is_materialized(chained_loops):
     certs = find_free_generators(chained_loops)
     tails = [c.witness for c in certs if isinstance(c.witness, InfinitePathEdgeWitness)]

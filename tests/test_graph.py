@@ -16,7 +16,14 @@ from leavitt.errors import (
     SchemaError,
     UnknownVertexError,
 )
-from leavitt.graph import Graph, graph_from_json, graph_to_json, parse_graph, quotient_graph
+from leavitt.graph import (
+    Graph,
+    clone_names,
+    graph_from_json,
+    graph_to_json,
+    parse_graph,
+    quotient_graph,
+)
 
 
 def test_vertex_kinds(toeplitz, double_emitter):
@@ -219,6 +226,29 @@ def test_quotient_clones_bundles_into_breaking_vertices():
         ("bx", "x", "w"),
         ("bx'", "x", "w'"),
     }
+
+
+def test_clone_names_skip_taken_names():
+    # a and a' both break for H = {h}; the names a', x' are already taken
+    g = Graph(
+        ["a", "a'", "h"],
+        [("x", "a", "a'"), ("y", "a'", "a"), ("x'", "a'", "a'")],
+        [("ba", "a", "h"), ("bb", "a'", "h")],
+    )
+    names = clone_names(g, {"a", "a'"})
+    assert names == {"a": "a''", "a'": "a'''", "x": "x''", "x'": "x'''", "y": "y'"}
+    q = quotient_graph(g, {"h"}, set())
+    assert set(q.vertices) == {"a", "a'", "a''", "a'''"}
+    assert {(e.name, e.src, e.dst) for e in q.edges.values()} == {
+        ("x", "a", "a'"),
+        ("x''", "a", "a'''"),
+        ("y", "a'", "a"),
+        ("y'", "a'", "a''"),
+        ("x'", "a'", "a'"),
+        ("x'''", "a'", "a'''"),
+    }
+    # without collisions every clone is the name with one prime
+    assert clone_names(examples.double_emitter(), {"w"}) == {"w": "w'", "a": "a'", "f": "f'"}
 
 
 def test_minting():

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_element
+from conftest import brute_phi, random_bundle_graph, random_element, random_monomial_element
 from leavitt.algebra import AlgebraElement
 from leavitt.errors import (
     NotACycleError,
@@ -74,6 +75,60 @@ def test_phi_is_homomorphism(double_emitter, loop_with_two_exits):
             b = random_element(rng, g)
             assert pair.phi(a * b) == pair.phi(a) * pair.phi(b)
             assert pair.phi(a + b) == pair.phi(a) + pair.phi(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_phi_matches_generator_image_products(seed):
+    # every vertex is the range of some term, so each pair sees terms ending
+    # in H, in B_H minus S and elsewhere
+    rng = random.Random(seed)
+    g = random_bundle_graph(rng)
+    for pair in enumerate_admissible(g):
+        if not pair.complement:
+            continue
+        for _ in range(2):
+            a = random_monomial_element(rng, g)
+            assert pair.phi(a) == brute_phi(pair, a)
+
+
+def test_random_bundle_graphs_have_unresolved_breaking_vertices():
+    graphs = [random_bundle_graph(random.Random(seed)) for seed in range(20)]
+    hits = [any(p.unresolved for p in enumerate_admissible(g) if p.complement) for g in graphs]
+    assert sum(hits) >= 10
+
+
+def test_phi_matches_oracle_on_fixtures(double_emitter, bundle_inflow, loop_with_two_exits):
+    rng = random.Random(21)
+    for g in (double_emitter, bundle_inflow, loop_with_two_exits):
+        for pair in enumerate_admissible(g):
+            if not pair.complement:
+                continue
+            for _ in range(20):
+                a = random_element(rng, g)
+                assert pair.phi(a) == brute_phi(pair, a)
+
+
+def test_phi_is_one_pass_without_products(double_emitter, monkeypatch):
+    pair = AdmissiblePair(double_emitter, {"u"}, {"v"})
+    pair.quotient_graph()
+    a = random_element(random.Random(4), double_emitter, depth=4)
+    expected = brute_phi(pair, a)
+    passes = []
+    real = AlgebraElement.from_terms.__func__
+
+    def counted(cls, g, items, field=None, order_seed=None):
+        items = list(items)
+        passes.append(len(items))
+        return real(cls, g, items, field, order_seed)
+
+    def no_products(self, other, order_seed=None):
+        raise AssertionError("phi formed an algebra product")
+
+    monkeypatch.setattr(AlgebraElement, "from_terms", classmethod(counted))
+    monkeypatch.setattr(AlgebraElement, "mul", no_products)
+    assert pair.phi(a) == expected
+    assert len(passes) == 1 and passes[0] <= 2 * len(a.terms)
 
 
 def test_breaking_vertex_element(double_emitter, toeplitz):
