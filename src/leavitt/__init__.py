@@ -42,7 +42,7 @@ from .modules import (
     invariant_pair,
     matrix_of,
 )
-from .scalars import QQ, ExtensionField, ExtensionScalar, LaurentPoly, Rational
+from .scalars import QQ, ExtensionField, ExtensionScalar, LaurentPoly
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "Path",
     "PathMonomial",
     "QQ",
-    "Rational",
     "RationalPathModule",
     "SinkModule",
     "TwistedRationalPathModule",

@@ -168,7 +168,7 @@ def cmd_classify(args) -> int:
 def cmd_enumerate(args) -> int:
     g = _load_graph(args.graph)
     rows = []
-    for pair in enumerate_admissible(g, args.max_vertices):
+    for pair in enumerate_admissible(g):
         verdict = classify(IdealDescriptor(pair)).verdict if pair.complement else "not_primitive"
         rows.append({**pair.to_json(), "verdict": verdict})
     payload = {"pairs": rows}
@@ -251,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", default="", help="comma-separated edge names of a cycle (type III)")
     p.add_argument("--poly", default="", help="Laurent polynomial, e.g. \"1+x+x^2\" (type III)")
 
-    p = add("enumerate-ideals", cmd_enumerate, help="all admissible pairs with verdicts")
-    p.add_argument("--max-vertices", type=int, default=16)
+    add("enumerate-ideals", cmd_enumerate, help="all admissible pairs with verdicts")
 
     p = add("free-gens", cmd_free_gens, help="discover free-subgroup certificates")
     p.add_argument("--max-len", type=int, default=6, help="verification word-length bound")

@@ -229,7 +229,6 @@ class FreePairCertificate:
 def find_free_generators(
     g: Graph,
     cycle_poly: LaurentPoly = DEFAULT_CYCLE_POLY,
-    max_vertices: int = 16,
 ) -> list[FreePairCertificate]:
     """Certificates for non-cyclic free subgroups of the unit group.
 
@@ -248,7 +247,7 @@ def find_free_generators(
     certs: list[FreePairCertificate] = []
     seen: set = set()
     scanned: list[str] = []
-    for pair in enumerate_admissible(g, max_vertices):
+    for pair in enumerate_admissible(g):
         label = f"H={sorted(pair.H)} S={sorted(pair.S)}"
         if not pair.complement:
             scanned.append(f"{label}: improper (H is everything)")
@@ -530,7 +529,7 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
     return transcript
 
 
-def certificate_for(g: Graph, a_text: str, b_text: str, max_vertices: int = 16) -> FreePairCertificate:
+def certificate_for(g: Graph, a_text: str, b_text: str) -> FreePairCertificate:
     """Build a certificate from user-supplied generator expressions.
 
     The parts t = a - 1 and b - 1 must be square-zero (their inverses come
@@ -554,7 +553,7 @@ def certificate_for(g: Graph, a_text: str, b_text: str, max_vertices: int = 16) 
             witness = _edge_witness(g, fname, None)
             break
     if witness is None:
-        for cand in enumerate_admissible(g, max_vertices):
+        for cand in enumerate_admissible(g):
             for w in sorted(cand.breaking - cand.S):
                 if cand.S != cand.breaking - {w}:
                     continue

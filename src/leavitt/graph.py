@@ -377,17 +377,19 @@ class Graph:
     def with_minted(self, bundle_name: str, count: int = 1) -> tuple["Graph", tuple[Edge, ...]]:
         """Materialize ``count`` explicit representative edges from a bundle.
 
-        Minted edges are named "<bundle>#<i>" starting at the first unused
-        index, so repeated minting never collides.
+        Minted edges are named "<bundle>#<i>", skipping every index whose
+        name is already a vertex, edge or bundle name, so minting never
+        collides.
         """
         if bundle_name not in self.bundles:
             raise UnknownEdgeError(f"unknown bundle {bundle_name!r}")
         b = self.bundles[bundle_name]
+        taken = set(self.vertices) | set(self.edges) | set(self.bundles)
         minted = []
         i = 0
         while len(minted) < count:
             name = f"{bundle_name}#{i}"
-            if name not in self.edges:
+            if name not in taken:
                 minted.append(Edge(name, b.src, b.dst))
             i += 1
         g = Graph(
@@ -445,12 +447,18 @@ def quotient_graph(g: Graph, H: Iterable[str], S: Iterable[str]) -> Graph:
     vertex v outside S.  Edges with range in H disappear; edges with range
     in B_H\\S additionally get a primed clone e' with r(e') = r(e)'.
     Bundles behave like their member edges.  Clone names come from
-    :func:`clone_names` of B_H\\S.
+    :func:`clone_names` of B_H\\S.  H must be a proper subset: the quotient
+    by the whole vertex set is the zero ring.
     """
     Hs = frozenset(g.require_vertex(v) for v in H)
     Ss = frozenset(g.require_vertex(v) for v in S)
     if not g.is_hereditary_saturated(Hs):
         raise NotAdmissibleError(f"H={sorted(Hs)} is not hereditary and saturated")
+    if len(Hs) == len(g.vertices):
+        raise NotAdmissibleError(
+            "H is the whole vertex set: the quotient is the zero ring, "
+            "which is not a unital path algebra"
+        )
     B = g.breaking_vertices(Hs)
     if not Ss <= B:
         raise NotAdmissibleError(f"S={sorted(Ss)} is not a subset of the breaking vertices {sorted(B)}")

@@ -125,12 +125,7 @@ class AdmissiblePair:
         """
         if a.graph is not self.graph and a.graph != self.graph:
             raise NotAdmissibleError("element does not live over this pair's graph")
-        if not self.complement:
-            raise NotAdmissibleError(
-                "H is the whole vertex set: the quotient is the zero ring, "
-                "which is not a unital path algebra"
-            )
-        q = self.quotient_graph()
+        q = self.quotient_graph()  # raises NotAdmissibleError for the improper ideal
         H, clones = self.H, self.clones
         raw = []
         for mono, coeff in a.terms.items():
@@ -335,22 +330,44 @@ def _poly_accepted(poly: LaurentPoly | None) -> tuple[bool, str]:
     return True, "degree > 3: trusted without verification"
 
 
-def enumerate_admissible(g: Graph, max_vertices: int = 16) -> list[AdmissiblePair]:
-    """All admissible pairs, ordered by (|H|, H, |S|, S)."""
-    if len(g.vertices) > max_vertices:
-        raise TooLargeError(
-            f"{len(g.vertices)} vertices exceeds the enumeration bound {max_vertices}"
-        )
-    verts = sorted(g.vertices)
-    pairs = []
-    for r in range(len(verts) + 1):
-        for combo in combinations(verts, r):
-            H = frozenset(combo)
-            if not g.is_hereditary_saturated(H):
+# Hereditary saturated sets can number 2^n on n vertices (n isolated sinks
+# give every subset), so the search stops past 2^16 of them: every graph of
+# at most 16 vertices still enumerates, and larger ones do whenever their
+# lattice is small.
+MAX_HS_SETS = 2**16
+
+
+def enumerate_admissible(g: Graph) -> list[AdmissiblePair]:
+    """All admissible pairs, ordered by (|H|, H, |S|, S).
+
+    Hereditary saturated sets form a lattice, found by stepping from each
+    set H to the closure of H | {v} for every v outside H, starting at the
+    closure of the empty set.  This reaches every such set K: adding the
+    vertices of K one at a time never leaves K, because K is closed.
+    Raises TooLargeError past MAX_HS_SETS sets.
+    """
+    bottom = g.hereditary_saturated_closure(())
+    seen = {bottom}
+    todo = [bottom]
+    while todo:
+        H = todo.pop()
+        for v in g.vertices:
+            if v in H:
                 continue
-            B = sorted(g.breaking_vertices(H))
-            for k in range(len(B) + 1):
-                for sub in combinations(B, k):
-                    pairs.append(AdmissiblePair(g, H, frozenset(sub)))
+            K = g.hereditary_saturated_closure(H | {v})
+            if K in seen:
+                continue
+            seen.add(K)
+            if len(seen) > MAX_HS_SETS:
+                raise TooLargeError(
+                    f"more than {MAX_HS_SETS} hereditary saturated sets: too many to enumerate"
+                )
+            todo.append(K)
+    pairs = []
+    for H in seen:
+        B = sorted(g.breaking_vertices(H))
+        for k in range(len(B) + 1):
+            for sub in combinations(B, k):
+                pairs.append(AdmissiblePair(g, H, frozenset(sub)))
     pairs.sort(key=lambda p: (len(p.H), sorted(p.H), len(p.S), sorted(p.S)))
     return pairs

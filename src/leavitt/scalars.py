@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 import warnings
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -33,21 +34,6 @@ from .errors import (
     ReduciblePolynomialError,
     ZeroConstantTermError,
 )
-
-Rational = Fraction
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational: {text!r}") from exc
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
 
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
@@ -258,7 +244,7 @@ def _rational_root_exists(coeffs: list[Fraction]) -> bool:
     """True iff the polynomial has a root in Q (degree >= 1, nonzero coeffs)."""
     denlcm = 1
     for c in coeffs:
-        denlcm = denlcm * c.denominator // _gcd(denlcm, c.denominator)
+        denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
     ints = [int(c * denlcm) for c in coeffs]
     a0, an = ints[0], ints[-1]
     if a0 == 0:
@@ -272,12 +258,6 @@ def _rational_root_exists(coeffs: list[Fraction]) -> bool:
                 if acc == 0:
                     return True
     return False
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:
@@ -495,41 +475,6 @@ class ExtensionScalar:
         return f"<{self} mod {self.field.modulus}>"
 
 
-# uniform field operations over Fraction and ExtensionScalar
-
-def _as_pair(a, b):
-    if isinstance(a, ExtensionScalar) or isinstance(b, ExtensionScalar):
-        field = a.field if isinstance(a, ExtensionScalar) else b.field
-        return field.coerce(a), field.coerce(b)
-    return Fraction(a), Fraction(b)
-
-
-def add(a, b):
-    a, b = _as_pair(a, b)
-    return a + b
-
-
-def sub(a, b):
-    a, b = _as_pair(a, b)
-    return a - b
-
-
-def mul(a, b):
-    a, b = _as_pair(a, b)
-    return a * b
-
-
-def div(a, b):
-    a, b = _as_pair(a, b)
-    if not b:
-        raise ZeroDivisionError("division by zero")
-    return a / b
-
-
-def neg(a):
-    return -a if isinstance(a, ExtensionScalar) else -Fraction(a)
-
-
 def inv(a):
     if isinstance(a, ExtensionScalar):
         return a.inverse()
@@ -537,11 +482,3 @@ def inv(a):
     if not a:
         raise ZeroDivisionError("inverse of zero")
     return 1 / a
-
-
-def eq(a, b):
-    try:
-        a, b = _as_pair(a, b)
-    except FieldMismatchError:
-        return False
-    return a == b

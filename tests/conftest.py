@@ -109,6 +109,39 @@ def _is_hs(g: Graph, H: frozenset) -> bool:
     return True
 
 
+def _breaking(g: Graph, H: frozenset) -> set:
+    """Vertices outside H whose bundles all land in H and which keep an
+    explicit edge out of H."""
+    return {
+        v
+        for v in g.vertices
+        if v not in H
+        and g.out_bundles(v)
+        and all(g.bundles[b].dst in H for b in g.out_bundles(v))
+        and any(g.edges[e].dst not in H for e in g.out_edges(v))
+    }
+
+
+def brute_admissible(g: Graph) -> list:
+    """Every admissible pair (H, S) as frozensets, by testing all 2^n vertex
+    subsets for H and all subsets of its breaking vertices for S, ordered
+    by (|H|, H, |S|, S)."""
+    from itertools import combinations
+
+    verts = sorted(g.vertices)
+    pairs = []
+    for r in range(len(verts) + 1):
+        for combo in combinations(verts, r):
+            H = frozenset(combo)
+            if not _is_hs(g, H):
+                continue
+            B = sorted(_breaking(g, H))
+            for k in range(len(B) + 1):
+                pairs.extend((H, frozenset(sub)) for sub in combinations(B, k))
+    pairs.sort(key=lambda p: (len(p[0]), sorted(p[0]), len(p[1]), sorted(p[1])))
+    return pairs
+
+
 def brute_cycles(g: Graph):
     """All cycles by exhaustive edge-sequence search, rotations deduplicated.
 
@@ -250,15 +283,7 @@ def brute_phi(pair, a: AlgebraElement) -> AlgebraElement:
     its source vertex and its letters.
     """
     g, H, S = pair.graph, frozenset(pair.H), frozenset(pair.S)
-    breaking = {
-        v
-        for v in g.vertices
-        if v not in H
-        and g.out_bundles(v)
-        and all(g.bundles[b].dst in H for b in g.out_bundles(v))
-        and any(g.edges[e].dst not in H for e in g.out_edges(v))
-    }
-    cloned = breaking - S
+    cloned = _breaking(g, H) - S
     clone, taken = {}, set(g.vertices) | set(g.edges) | set(g.bundles)
     arrows = [n for pool in (g.edges, g.bundles) for n, e in pool.items() if e.dst in cloned]
     for name in sorted(cloned) + sorted(arrows):

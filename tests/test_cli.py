@@ -212,3 +212,18 @@ def test_json_errors_on_stdout(graph_file, capsys, tmp_path):
     assert code == 2 and err == ""
     error = json.loads(out)["error"]
     assert error["type"] == "SchemaError" and error["transcript"] is None
+
+
+def test_quotient_by_whole_vertex_set_is_improper(graph_file, capsys):
+    path = graph_file(examples.toeplitz())
+    code, out, err = run(capsys, "quotient", path, "--H", "u,v")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: H is the whole vertex set: the quotient is the zero ring, "
+        "which is not a unital path algebra\n"
+    )
+    code, out, err = run(capsys, "quotient", path, "--H", "u,v", "--json")
+    assert code == 1 and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "NotAdmissibleError"
+    assert error["message"].startswith("H is the whole vertex set")

@@ -16,6 +16,7 @@ from leavitt.errors import (
     SchemaError,
     UnknownVertexError,
 )
+from leavitt.freeness import find_free_generators
 from leavitt.graph import (
     Graph,
     clone_names,
@@ -259,6 +260,15 @@ def test_minting():
     assert g2.vertex_kind("v") == "infinite_emitter"
     g3, minted2 = g2.with_minted("bv", 1)
     assert minted2[0].name == "bv#2"
+
+
+def test_minting_skips_vertex_and_bundle_names():
+    as_vertex = Graph(["u", "v", "b#0"], [("e", "u", "u")], [("b", "u", "v")])
+    as_bundle = Graph(["u", "v", "w"], [("e", "u", "u")], [("b", "u", "v"), ("b#0", "w", "v")])
+    for g in (as_vertex, as_bundle):
+        _, minted = g.with_minted("b", 2)
+        assert [e.name for e in minted] == ["b#1", "b#2"]
+        assert find_free_generators(g)
 
 
 # JSON schema

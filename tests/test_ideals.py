@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_phi, random_bundle_graph, random_element, random_monomial_element
+from conftest import brute_admissible, brute_phi, random_bundle_graph, random_element, random_monomial_element
 from leavitt.algebra import AlgebraElement
 from leavitt.errors import (
     NotACycleError,
@@ -14,6 +14,7 @@ from leavitt.errors import (
     ZeroConstantTermError,
 )
 from leavitt.exprs import normalize
+from leavitt import ideals
 from leavitt.graph import Graph
 from leavitt.ideals import (
     DEFAULT_CYCLE_POLY,
@@ -34,6 +35,10 @@ def test_pair_validation(toeplitz, double_emitter):
         AdmissiblePair(double_emitter, {"u"}, {"u"})
     pair = AdmissiblePair(double_emitter, {"u"}, {"v", "w"})
     assert pair.breaking == {"v", "w"}
+    improper = AdmissiblePair(toeplitz, {"u", "v"})
+    with pytest.raises(NotAdmissibleError, match="whole vertex set"):
+        improper.phi(AlgebraElement.one(toeplitz))
+    assert improper.contains(AlgebraElement.one(toeplitz))
 
 
 def test_phi_kills_h_and_edges_into_h(double_emitter):
@@ -243,8 +248,40 @@ def test_enumerate_admissible(toeplitz, double_emitter):
         assert (("u",), S) in g1_pairs
     single = Graph(["v"])
     assert [(sorted(p.H), sorted(p.S)) for p in enumerate_admissible(single)] == [([], []), (["v"], [])]
+
+
+def test_enumerate_admissible_caps_hs_sets(double_emitter, monkeypatch):
+    monkeypatch.setattr(ideals, "MAX_HS_SETS", 2)
     with pytest.raises(TooLargeError):
-        enumerate_admissible(double_emitter, max_vertices=2)
+        enumerate_admissible(double_emitter)
+
+
+def test_enumerate_admissible_has_no_vertex_bound():
+    # a chain of n loop vertices v_i -> v_{i+1} has the n + 1 tails as its
+    # hereditary saturated sets and no breaking vertices
+    n = 20
+    verts = [f"v{i}" for i in range(n)]
+    edges = [(f"l{i}", v, v) for i, v in enumerate(verts)]
+    edges += [(f"c{i}", verts[i], verts[i + 1]) for i in range(n - 1)]
+    pairs = enumerate_admissible(Graph(verts, edges))
+    assert [sorted(p.H) for p in pairs] == [sorted(verts[n - k:]) for k in range(n + 1)]
+    assert not any(p.S for p in pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_enumerate_admissible_matches_subset_scan(seed):
+    # up to 9 vertices, with bundles, and the last few isolated sinks
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    verts = [f"v{i}" for i in range(n)]
+    live = verts[: n - rng.randint(0, min(3, n - 1))]
+    edges = [(f"e{i}", rng.choice(live), rng.choice(live)) for i in range(rng.randint(0, 2 * len(live)))]
+    bundles = [] if len(live) < 2 else [
+        (f"b{i}", *rng.sample(live, 2)) for i in range(rng.randint(0, 3))
+    ]
+    g = Graph(verts, edges, bundles)
+    assert [(p.H, p.S) for p in enumerate_admissible(g)] == brute_admissible(g)
 
 
 def test_pair_json_roundtrip(double_emitter):
