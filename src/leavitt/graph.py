@@ -258,26 +258,31 @@ class Graph:
     # hereditary saturated machinery
 
     def hereditary_saturated_closure(self, seed: Iterable[str]) -> frozenset[str]:
-        """Least hereditary and saturated vertex set containing the seed.
+        """Least hereditary and saturated vertex set containing the seed."""
+        return self.extend_hereditary_saturated(frozenset(), seed)
 
-        Alternates downward (forward-reachability) closure with saturation;
-        saturation only ever fires at regular vertices.
+    def extend_hereditary_saturated(self, H: frozenset[str], seed: Iterable[str]) -> frozenset[str]:
+        """Least hereditary and saturated vertex set containing H and the seed,
+        for H already hereditary and saturated (as the empty set is).
+
+        Only vertices outside H are visited: each added vertex brings in its
+        successors, and a predecessor is rechecked for saturation (which only
+        fires at regular vertices) each time one of its targets is added, so
+        it is checked once all of them are in.
         """
-        closure: set[str] = {self.require_vertex(v) for v in seed}
-        changed = True
-        while changed:
-            changed = False
-            if closure:
-                forward = self.reachable_from(closure)
-                if not forward <= closure:
-                    closure |= forward
-                    changed = True
-            for v in self.vertices:
-                if v in closure or not self.is_regular(v):
-                    continue
-                if all(self.edges[e].dst in closure for e in self._out[v]):
-                    closure.add(v)
-                    changed = True
+        closure = set(H)
+        todo = [self.require_vertex(v) for v in seed]
+        while todo:
+            v = todo.pop()
+            if v in closure:
+                continue
+            closure.add(v)
+            todo.extend(self.successors(v))
+            for u in self.predecessors(v):
+                if u not in closure and self.is_regular(u) and all(
+                    self.edges[e].dst in closure for e in self._out[u]
+                ):
+                    todo.append(u)
         return frozenset(closure)
 
     def is_hereditary(self, H: Iterable[str]) -> bool:

@@ -54,6 +54,7 @@ from .errors import (
     NotACycleError,
     NotAdmissibleError,
     NotBreakingVertexError,
+    NotHereditarySaturatedError,
     ReduciblePolynomialError,
     TooLargeError,
     TypeIIIMembershipUnsupportedError,
@@ -77,9 +78,10 @@ class AdmissiblePair:
         self.graph = graph
         self.H = frozenset(graph.require_vertex(v) for v in H)
         self.S = frozenset(graph.require_vertex(v) for v in S)
-        if not graph.is_hereditary_saturated(self.H):
-            raise NotAdmissibleError(f"H={sorted(self.H)} is not hereditary and saturated")
-        self.breaking = graph.breaking_vertices(self.H)
+        try:
+            self.breaking = graph.breaking_vertices(self.H)
+        except NotHereditarySaturatedError:
+            raise NotAdmissibleError(f"H={sorted(self.H)} is not hereditary and saturated") from None
         if not self.S <= self.breaking:
             raise NotAdmissibleError(
                 f"S={sorted(self.S)} is not a subset of the breaking vertices {sorted(self.breaking)}"
@@ -330,11 +332,12 @@ def _poly_accepted(poly: LaurentPoly | None) -> tuple[bool, str]:
     return True, "degree > 3: trusted without verification"
 
 
-# Hereditary saturated sets can number 2^n on n vertices (n isolated sinks
-# give every subset), so the search stops past 2^16 of them: every graph of
-# at most 16 vertices still enumerates, and larger ones do whenever their
-# lattice is small.
-MAX_HS_SETS = 2**16
+# A graph's admissible pairs can number far more than its vertex subsets (a
+# sink with k looped infinite emitters bundled into it has 3^k + 1), so
+# enumeration stops once the count passes 2^16.  Every pair counts at least
+# one per hereditary saturated set, so this bounds the sets too; a graph of
+# at most 16 vertices without breaking vertices has at most 2^16 pairs.
+MAX_PAIRS = 2**16
 
 
 def enumerate_admissible(g: Graph) -> list[AdmissiblePair]:
@@ -343,30 +346,32 @@ def enumerate_admissible(g: Graph) -> list[AdmissiblePair]:
     Hereditary saturated sets form a lattice, found by stepping from each
     set H to the closure of H | {v} for every v outside H, starting at the
     closure of the empty set.  This reaches every such set K: adding the
-    vertices of K one at a time never leaves K, because K is closed.
-    Raises TooLargeError past MAX_HS_SETS sets.
+    vertices of K one at a time never leaves K, because K is closed.  Each
+    set H found adds 2^|B_H| pairs; TooLargeError is raised as soon as the
+    total passes MAX_PAIRS, before the pairs with nonempty S are built.
     """
-    bottom = g.hereditary_saturated_closure(())
-    seen = {bottom}
-    todo = [bottom]
+    bottom = AdmissiblePair(g, g.hereditary_saturated_closure(()))
+    found = {bottom.H: bottom}
+    total = 2 ** len(bottom.breaking)
+    todo = [bottom.H]
     while todo:
         H = todo.pop()
         for v in g.vertices:
             if v in H:
                 continue
-            K = g.hereditary_saturated_closure(H | {v})
-            if K in seen:
+            K = g.extend_hereditary_saturated(H, (v,))
+            if K in found:
                 continue
-            seen.add(K)
-            if len(seen) > MAX_HS_SETS:
-                raise TooLargeError(
-                    f"more than {MAX_HS_SETS} hereditary saturated sets: too many to enumerate"
-                )
+            found[K] = pair = AdmissiblePair(g, K)
+            total += 2 ** len(pair.breaking)
+            if total > MAX_PAIRS:
+                raise TooLargeError(f"more than {MAX_PAIRS} admissible pairs: too many to enumerate")
             todo.append(K)
     pairs = []
-    for H in seen:
-        B = sorted(g.breaking_vertices(H))
-        for k in range(len(B) + 1):
+    for H, pair in found.items():
+        pairs.append(pair)
+        B = sorted(pair.breaking)
+        for k in range(1, len(B) + 1):
             for sub in combinations(B, k):
                 pairs.append(AdmissiblePair(g, H, frozenset(sub)))
     pairs.sort(key=lambda p: (len(p.H), sorted(p.H), len(p.S), sorted(p.S)))

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_cycles, brute_hs_closure, brute_reaching
+from conftest import brute_admissible, brute_cycles, brute_hs_closure, brute_reaching
 from leavitt import examples
 from leavitt.errors import (
     BundleLoopError,
@@ -92,6 +92,15 @@ def test_hs_closure_matches_minimal_superset(any_graph):
         seed = rng.sample(verts, rng.randint(0, len(verts)))
         closure = any_graph.hereditary_saturated_closure(seed)
         assert closure == brute_hs_closure(any_graph, seed)
+
+
+def test_extend_hs_matches_closure_from_scratch(any_graph):
+    rng = random.Random(7)
+    verts = list(any_graph.vertices)
+    for H, _ in brute_admissible(any_graph):
+        for _ in range(4):
+            seed = rng.sample(verts, rng.randint(0, 2))
+            assert any_graph.extend_hereditary_saturated(H, seed) == brute_hs_closure(any_graph, H | set(seed))
 
 
 def test_hs_closure_idempotent_and_monotone(any_graph):

@@ -250,10 +250,32 @@ def test_enumerate_admissible(toeplitz, double_emitter):
     assert [(sorted(p.H), sorted(p.S)) for p in enumerate_admissible(single)] == [([], []), (["v"], [])]
 
 
-def test_enumerate_admissible_caps_hs_sets(double_emitter, monkeypatch):
-    monkeypatch.setattr(ideals, "MAX_HS_SETS", 2)
+def test_enumerate_admissible_caps_pairs(double_emitter, monkeypatch):
+    monkeypatch.setattr(ideals, "MAX_PAIRS", 2)
     with pytest.raises(TooLargeError):
         enumerate_admissible(double_emitter)
+
+
+def test_enumerate_admissible_caps_pairs_not_sets():
+    # a sink t and a cycle v0 -> ... -> v16 -> v0 whose vertices all bundle
+    # into t: three hereditary saturated sets, but B_{t} holds all 17 v_i,
+    # so 2^17 + 2 pairs (any k behaves alike; 17 is just past the cap, so a
+    # cap on sets fails here in seconds instead of building 2^k pairs)
+    k = 17
+    vs = [f"v{i}" for i in range(k)]
+    edges = [(f"c{i}", vs[i], vs[(i + 1) % k]) for i in range(k)]
+    bundles = [(f"b{i}", v, "t") for i, v in enumerate(vs)]
+    with pytest.raises(TooLargeError):
+        enumerate_admissible(Graph(["t", *vs], edges, bundles))
+
+
+def test_enumerate_admissible_cap_is_inclusive(monkeypatch):
+    # n isolated sinks: every vertex subset is hereditary saturated and none
+    # has breaking vertices, so 2^n pairs; 16 sinks meet MAX_PAIRS exactly
+    monkeypatch.setattr(ideals, "MAX_PAIRS", 2**4)
+    assert len(enumerate_admissible(Graph([f"s{i}" for i in range(4)]))) == 2**4
+    with pytest.raises(TooLargeError):
+        enumerate_admissible(Graph([f"s{i}" for i in range(5)]))
 
 
 def test_enumerate_admissible_has_no_vertex_bound():
