@@ -30,8 +30,8 @@ be evaluated concurrently without shared state.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import scalars
 from .errors import (
@@ -44,8 +44,7 @@ from .graph import Graph, Path
 from .scalars import QQ, RationalField
 
 
-@dataclass(frozen=True)
-class PathMonomial:
+class PathMonomial(NamedTuple):
     """A basis monomial g l*; both paths share their range."""
 
     gamma: Path

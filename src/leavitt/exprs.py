@@ -69,10 +69,15 @@ class Neg:
     arg: object
 
 
+# The names this syntax reads as one identifier.  Graph JSON rejects any
+# other vertex, edge or bundle name, so every printed normal form parses back.
+IDENT = r"[A-Za-z_][A-Za-z0-9_#']*"
+IDENT_RE = re.compile(IDENT)
+
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    rf"""\s*(?:
         (?P<rat>\d+(?:\s*/\s*\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_#']*)
+      | (?P<ident>{IDENT})
       | (?P<ghost>\^\*)
       | (?P<op>[+\-*()])
     )""",

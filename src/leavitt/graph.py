@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BundleLoopError,
@@ -43,21 +43,18 @@ class Edge:
     dst: str
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A finite path: source vertex plus a composable edge-name sequence.
 
     The empty sequence is the length-0 path at ``source``.  Validity against
     a graph is checked by :meth:`Graph.path`; once built, composition only
-    needs the stored endpoints.
+    needs the stored endpoints.  A named tuple, so hashing and equality (on
+    every dict lookup of a monomial) run in C.
     """
 
     source: str
     edges: tuple[str, ...]
     end: str
-
-    def __len__(self):
-        return len(self.edges)
 
     @property
     def is_vertex(self) -> bool:
@@ -529,6 +526,16 @@ def graph_from_json(data: Mapping) -> Graph:
         raise SchemaError("empty vertex set rejected (the algebra must be unital and nonzero)")
     edges = _edge_records(data.get("edges", []), "edges")
     bundles = _edge_records(data.get("bundles", []), "bundles")
+    from .exprs import IDENT, IDENT_RE  # exprs imports this module
+
+    for label, names in (("vertices", vertices), ("edges", [e.name for e in edges]),
+                         ("bundles", [b.name for b in bundles])):
+        for name in names:
+            if not IDENT_RE.fullmatch(name):
+                raise SchemaError(
+                    f'name {name!r} in "{label}" is not an identifier {IDENT}, '
+                    "so expressions over the graph could not use it"
+                )
     return Graph(vertices, edges, bundles)
 
 

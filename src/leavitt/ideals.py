@@ -77,17 +77,29 @@ class AdmissiblePair:
     def __init__(self, graph: Graph, H, S=()):
         self.graph = graph
         self.H = frozenset(graph.require_vertex(v) for v in H)
-        self.S = frozenset(graph.require_vertex(v) for v in S)
+        S = frozenset(graph.require_vertex(v) for v in S)
         try:
             self.breaking = graph.breaking_vertices(self.H)
         except NotHereditarySaturatedError:
             raise NotAdmissibleError(f"H={sorted(self.H)} is not hereditary and saturated") from None
-        if not self.S <= self.breaking:
+        self._set_S(S)
+
+    def _set_S(self, S: frozenset[str]):
+        if not S <= self.breaking:
             raise NotAdmissibleError(
-                f"S={sorted(self.S)} is not a subset of the breaking vertices {sorted(self.breaking)}"
+                f"S={sorted(S)} is not a subset of the breaking vertices {sorted(self.breaking)}"
             )
+        self.S = S
         self._clones: dict[str, str] | None = None
         self._quotient: Graph | None = None
+
+    def with_S(self, S) -> "AdmissiblePair":
+        """The pair (H, S) for this pair's H, reusing its B_H instead of
+        checking H and computing the breaking vertices again."""
+        pair = object.__new__(AdmissiblePair)
+        pair.graph, pair.H, pair.breaking = self.graph, self.H, self.breaking
+        pair._set_S(frozenset(self.graph.require_vertex(v) for v in S))
+        return pair
 
     @property
     def complement(self) -> frozenset[str]:
@@ -349,6 +361,8 @@ def enumerate_admissible(g: Graph) -> list[AdmissiblePair]:
     vertices of K one at a time never leaves K, because K is closed.  Each
     set H found adds 2^|B_H| pairs; TooLargeError is raised as soon as the
     total passes MAX_PAIRS, before the pairs with nonempty S are built.
+    Those come from H's S = {} pair by ``with_S``, so B_H is computed once
+    per set.
     """
     bottom = AdmissiblePair(g, g.hereditary_saturated_closure(()))
     found = {bottom.H: bottom}
@@ -373,6 +387,6 @@ def enumerate_admissible(g: Graph) -> list[AdmissiblePair]:
         B = sorted(pair.breaking)
         for k in range(1, len(B) + 1):
             for sub in combinations(B, k):
-                pairs.append(AdmissiblePair(g, H, frozenset(sub)))
+                pairs.append(pair.with_S(sub))
     pairs.sort(key=lambda p: (len(p.H), sorted(p.H), len(p.S), sorted(p.S)))
     return pairs

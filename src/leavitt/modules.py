@@ -27,7 +27,7 @@ the two-dimensional invariant subspace attached to a witness edge f, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import AlgebraElement
 from .errors import (
@@ -42,8 +42,7 @@ from .graph import INFINITE_EMITTER, SINK, Graph, Path
 from .scalars import QQ, ExtensionField, RationalField
 
 
-@dataclass(frozen=True)
-class RationalVector:
+class RationalVector(NamedTuple):
     """Eventually periodic infinite path: prefix then rotation^inf.
 
     ``rotation`` indexes the cycle edge the periodic tail starts at.  The

@@ -2,8 +2,8 @@
 
 Two kinds of scalars circulate in the package:
 
-* plain rationals, which are stdlib ``fractions.Fraction`` values (always
-  reduced, positive denominator, canonical 0/1), and
+* plain rationals: an ``int`` when the value is integral, else a stdlib
+  ``fractions.Fraction`` (reduced, positive denominator), and
 * :class:`ExtensionScalar` residues in K' = Q[x, x^-1] / (f(x)) for a
   Laurent polynomial f with nonzero constant term.
 
@@ -186,7 +186,7 @@ class LaurentPoly:
 
 
 def _power(value, n: int):
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return value ** n
     result = value.field.one
     for _ in range(n):
@@ -273,16 +273,25 @@ def _divisors(n: int) -> list[int]:
 
 
 class RationalField:
-    """The base field Q; scalars are Fractions."""
+    """The base field Q; a scalar is an ``int`` when integral, else a Fraction.
+
+    Integer arithmetic runs natively, and the generators the package builds
+    have integer coefficients, so Fractions appear only where a non-integer
+    is written or computed.  An integral Fraction still equals and hashes
+    like its ``int``.
+    """
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def coerce(self, value) -> Fraction:
+    def coerce(self, value) -> int | Fraction:
+        if type(value) is int:
+            return value
         if isinstance(value, ExtensionScalar):
             raise FieldMismatchError("extension scalar used where a rational is required")
-        return Fraction(value)
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
     def __repr__(self):
         return "QQ"
@@ -481,4 +490,4 @@ def inv(a):
     a = Fraction(a)
     if not a:
         raise ZeroDivisionError("inverse of zero")
-    return 1 / a
+    return QQ.coerce(1 / a)

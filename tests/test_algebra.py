@@ -4,14 +4,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_element, random_expr_tree, relation_elements
-from leavitt.algebra import AlgebraElement, eval_group_word, invert_unipotent
+from leavitt.algebra import (
+    AlgebraElement,
+    PathMonomial,
+    _mono_mul,
+    eval_group_word,
+    invert_unipotent,
+)
 from leavitt.errors import (
     MixedGraphsError,
     NotReducedError,
     NotSquareZeroError,
 )
 from leavitt.exprs import evaluate, normalize
-from leavitt.graph import Graph
+from leavitt.graph import Graph, Path
+from leavitt.modules import RationalPathModule, RationalVector
 
 
 def test_ck1_annihilation(toeplitz):
@@ -180,3 +187,44 @@ def test_ghost_paths_stay_reduced(chained_loops):
     assert normalize(chained_loops, "f*f^*") == normalize(chained_loops, "u - e*e^*")
     lhs = normalize(chained_loops, "e*e^*")
     assert str(lhs) == "e*e^*"
+
+
+def test_non_integer_coefficients_stay_exact(toeplitz):
+    g = toeplitz
+    half = normalize(g, "1/2*e")
+    assert [type(c) for c in half.terms.values()] == [Fraction]
+    assert str(half) == "1/2*e"
+    assert half * normalize(g, "2*e^*") == normalize(g, "e*e^*")
+    two_halves = normalize(g, "2/2*e")
+    assert two_halves == normalize(g, "e")
+    assert hash(two_halves) == hash(normalize(g, "e"))
+    assert [type(c) for c in two_halves.terms.values()] == [int]
+
+
+def test_paths_and_monomials_agree_across_routes(toeplitz):
+    g = toeplitz  # loop e at u, f from u to the sink v
+    routes = [
+        g.path("u", ["e", "f"]),
+        g.edge_path("e").concat(g.edge_path("f")),
+        Path("u", ("e", "f"), "v"),
+        Path._make(["u", ("e", "f"), "v"]),
+    ]
+    assert all(p == routes[0] and hash(p) == hash(routes[0]) for p in routes)
+    assert (routes[0].source, routes[0].edges, routes[0].end) == ("u", ("e", "f"), "v")
+
+    direct = PathMonomial(routes[0], g.trivial_path("v"))
+    product = _mono_mul(
+        PathMonomial(g.edge_path("e"), g.trivial_path("u")),
+        PathMonomial(g.edge_path("f"), g.trivial_path("v")),
+    )
+    assert product == direct and hash(product) == hash(direct)
+    assert direct.star().star() == direct
+    assert {direct: 1}[product] == 1
+    assert (AlgebraElement.edge(g, "e") * AlgebraElement.edge(g, "f")).terms == {direct: 1}
+
+    module = RationalPathModule(g, g.path("u", ["e"]))
+    absorbed = module.vector_from(g.edge_path("e"), 0)  # e . e^inf is e^inf
+    built = RationalVector(g.trivial_path("u"), 0)
+    assert absorbed == built == module.base and hash(absorbed) == hash(built)
+    image = module.act(AlgebraElement.edge(g, "e"), module.basis_vector(built))
+    assert image.terms == {built: 1}

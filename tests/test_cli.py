@@ -173,6 +173,17 @@ def test_exit_code_parse_errors(graph_file, capsys, tmp_path):
     assert code == 2
 
 
+def test_name_that_cannot_parse_back_is_rejected(tmp_path, capsys):
+    bad = tmp_path / "names.json"
+    bad.write_text('{"vertices": ["1x", "u"], "edges": [{"name": "e", "src": "u", "dst": "1x"}]}')
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2 and out == ""
+    assert "'1x'" in err and "not an identifier" in err
+    code, out, _ = run(capsys, "normalize", str(bad), "u", "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "SchemaError"
+
+
 def test_verify_free_reports_violation_with_exit_1(graph_file, capsys):
     path = graph_file(examples.toeplitz())
     code, out, _ = run(

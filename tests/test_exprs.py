@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_element
 from leavitt.errors import ParseError, UnknownSymbolError
@@ -16,6 +17,7 @@ from leavitt.exprs import (
     normalize,
     parse_expr,
 )
+from leavitt.graph import Graph, graph_from_json, graph_to_json
 
 
 def test_parse_shapes(toeplitz):
@@ -68,3 +70,29 @@ def test_print_parse_roundtrip(any_graph):
     for _ in range(120):
         elem = random_element(rng, any_graph)
         assert normalize(any_graph, str(elem)) == elem
+
+
+# names the identifier pattern allows, biased towards "_", "#" and "'"
+_NAMES = st.builds(
+    lambda head, tail: head + tail,
+    st.sampled_from("aZ_"),
+    st.text(alphabet="b1_#'", max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_NAMES, min_size=2, max_size=9, unique=True), st.integers(0, 2**32 - 1))
+def test_print_parse_roundtrip_on_random_json_names(names, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, min(4, len(names) - 1))
+    verts, arrows = names[:n], names[n:]
+    bundles = []
+    if n >= 2 and rng.random() < 0.5:
+        bundles.append((arrows.pop(), *rng.sample(verts, 2)))
+    edges = [(name, rng.choice(verts), rng.choice(verts)) for name in arrows]
+    g = graph_from_json(graph_to_json(Graph(verts, edges, bundles)))
+    graphs = [g] + [g.with_minted(b[0], 2)[0] for b in bundles]
+    for h in graphs:
+        for _ in range(4):
+            elem = random_element(rng, h)
+            assert normalize(h, str(elem)) == elem

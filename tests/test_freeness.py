@@ -1,6 +1,7 @@
 import pytest
 
-from leavitt.algebra import AlgebraElement
+from leavitt import examples
+from leavitt.algebra import AlgebraElement, eval_group_word
 from leavitt.errors import NoWitnessFoundError, NotInvariantError, NotSquareZeroError
 from leavitt.exprs import normalize
 from leavitt.freeness import (
@@ -8,6 +9,7 @@ from leavitt.freeness import (
     FreePairCertificate,
     InfinitePathEdgeWitness,
     SinkEdgeWitness,
+    _matrix_context,
     certificate_for,
     count_reduced_words,
     find_free_generators,
@@ -16,6 +18,7 @@ from leavitt.freeness import (
     verify_free_words,
 )
 from leavitt.graph import Graph
+from leavitt.modules import matrix_of
 
 
 def _pairs(certs):
@@ -270,3 +273,24 @@ def test_infinite_path_witness_tail_is_materialized(chained_loops):
         prefix = g.path(w.tail_source, w.tail_prefix)
         cycle = g.path(prefix.end, w.tail_cycle)
         assert cycle.source == cycle.end
+
+
+def test_rational_coefficients_are_native_ints():
+    # the generators are 1 + 2t, so every word's coefficients, in the
+    # algebra, under phi and in the witness matrices, are integers: each
+    # must be an int, not an integral Fraction
+    def ints(values):
+        return all(type(c) is int for c in values)
+
+    for name in sorted(examples.ALL):
+        for cert in find_free_generators(examples.ALL[name]()):
+            module, basis, phi = _matrix_context(cert)
+            gens = ((cert.a, cert.a_inv), (cert.b, cert.b_inv))
+            for word in reduced_words(3):
+                x = eval_group_word(gens, word)
+                image = phi(x)
+                matrix = matrix_of(module, basis, image)
+                assert ints(x.terms.values()), (name, word, x)
+                assert ints(normalize(cert.graph, str(x)).terms.values()), (name, word)
+                assert ints(image.terms.values()), (name, word, image)
+                assert ints(c for row in matrix for c in row), (name, word, matrix)

@@ -304,6 +304,24 @@ def test_json_schema_rejections():
         graph_from_json({"vertices": ["u"], "edges": [{"name": "e", "src": "u", "dst": "zz"}]})
 
 
+def test_json_rejects_names_expressions_cannot_parse():
+    # each of these would print into a normal form that fails to parse back,
+    # e.g. "1x + a b"
+    for bad in ("a b", "1x", "e-1", "", "x*y", "f^*"):
+        with pytest.raises(SchemaError, match="not an identifier"):
+            graph_from_json({"vertices": [bad]})
+        with pytest.raises(SchemaError, match="not an identifier"):
+            graph_from_json({"vertices": ["u"], "edges": [{"name": bad, "src": "u", "dst": "u"}]})
+        with pytest.raises(SchemaError, match="not an identifier"):
+            graph_from_json(
+                {"vertices": ["u", "v"], "bundles": [{"name": bad, "src": "u", "dst": "v"}]}
+            )
+    ok = graph_from_json(
+        {"vertices": ["_u", "v'", "w#1"], "edges": [{"name": "e_1'", "src": "_u", "dst": "w#1"}]}
+    )
+    assert set(ok.vertices) == {"_u", "v'", "w#1"}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 4), st.data())
 def test_hs_closure_random_graphs(n_extra, data):

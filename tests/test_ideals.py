@@ -41,6 +41,19 @@ def test_pair_validation(toeplitz, double_emitter):
     assert improper.contains(AlgebraElement.one(toeplitz))
 
 
+def test_with_s_reuses_breaking_vertices(double_emitter, monkeypatch):
+    base = AdmissiblePair(double_emitter, {"u"})
+    monkeypatch.setattr(Graph, "breaking_vertices", lambda self, H: pytest.fail("recomputed B_H"))
+    pair = base.with_S({"v"})
+    assert (pair.H, pair.S, pair.breaking) == (frozenset({"u"}), frozenset({"v"}), base.breaking)
+    assert base.S == frozenset()
+    with pytest.raises(NotAdmissibleError, match="not a subset of the breaking vertices"):
+        base.with_S({"u"})
+    monkeypatch.undo()
+    assert pair == AdmissiblePair(double_emitter, {"u"}, {"v"})
+    assert pair.quotient_graph() == AdmissiblePair(double_emitter, {"u"}, {"v"}).quotient_graph()
+
+
 def test_phi_kills_h_and_edges_into_h(double_emitter):
     pair = AdmissiblePair(double_emitter, {"u"}, {"v"})
     assert pair.phi(AlgebraElement.vertex(double_emitter, "u")).is_zero()
@@ -304,6 +317,32 @@ def test_enumerate_admissible_matches_subset_scan(seed):
     ]
     g = Graph(verts, edges, bundles)
     assert [(p.H, p.S) for p in enumerate_admissible(g)] == brute_admissible(g)
+
+
+def test_enumerate_admissible_finds_breaking_vertices_once_per_set(monkeypatch):
+    # a sink t and k looped infinite emitters bundled into it: 2^k + 1
+    # hereditary saturated sets (the empty set, and t with any emitters),
+    # but 3^k + 1 pairs, since the emitters outside H are breaking
+    k = 3
+    ws = [f"w{i}" for i in range(k)]
+    g = Graph(
+        ["t", *ws],
+        [(f"l{i}", w, w) for i, w in enumerate(ws)],
+        [(f"b{i}", w, "t") for i, w in enumerate(ws)],
+    )
+    calls = []
+    original = Graph.breaking_vertices
+
+    def counted(self, H):
+        calls.append(frozenset(H))
+        return original(self, H)
+
+    monkeypatch.setattr(Graph, "breaking_vertices", counted)
+    pairs = enumerate_admissible(g)
+    monkeypatch.undo()
+    assert len(pairs) == 3**k + 1
+    assert len(calls) == len(set(calls)) == 2**k + 1
+    assert [(p.H, p.S) for p in pairs] == brute_admissible(g)
 
 
 def test_pair_json_roundtrip(double_emitter):

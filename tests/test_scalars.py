@@ -12,7 +12,17 @@ from leavitt.errors import (
     ReduciblePolynomialError,
     ZeroConstantTermError,
 )
-from leavitt.scalars import ExtensionField, LaurentPoly, inv
+from leavitt.scalars import QQ, ExtensionField, LaurentPoly, inv
+
+
+def test_rationals_are_ints_when_integral():
+    assert (QQ.one, QQ.zero) == (1, 0) and type(QQ.one) is type(QQ.zero) is int
+    for value in (3, Fraction(6, 2), "4/2", True):
+        assert type(QQ.coerce(value)) is int and QQ.coerce(value) == Fraction(value)
+    assert QQ.coerce(Fraction(1, 3)) == Fraction(1, 3)
+    assert type(QQ.coerce(Fraction(-5, 3))) is Fraction
+    assert type(inv(Fraction(1, 2))) is int and inv(Fraction(1, 2)) == 2
+    assert LaurentPoly.parse("1 + x").eval_at(2) == 3
 
 
 def test_rational_parse_and_print():
