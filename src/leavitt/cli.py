@@ -145,6 +145,8 @@ def cmd_classify(args) -> int:
         if not (args.cycle and args.poly):
             raise UsageError("--cycle and --poly must be given together")
         cycle_edges = _names(args.cycle)
+        if not cycle_edges:
+            raise UsageError("--cycle names no edge")
         first = g.require_edge(cycle_edges[0])
         cycle = g.path(first.src, cycle_edges)
         poly = LaurentPoly.parse(args.poly)
@@ -182,6 +184,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_free_gens(args) -> int:
+    if args.max_len < 1:
+        raise UsageError("--max-len must be at least 1")
     g = _load_graph(args.graph)
     certs = find_free_generators(g)
     for cert in certs:
@@ -205,6 +209,8 @@ def cmd_free_gens(args) -> int:
 
 
 def cmd_verify_free(args) -> int:
+    if args.max_len < 1:
+        raise UsageError("--max-len must be at least 1")
     g = _load_graph(args.graph)
     cert = certificate_for(g, args.a, args.b)
     transcript = verify_free_words(cert, max_len=args.max_len, mode=args.mode)

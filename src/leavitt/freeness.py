@@ -300,24 +300,11 @@ def _emit_breaking(g, pair, res, certs, seen) -> int:
         work_g, minted = g.with_minted(sorted(inb)[0], 1)
         work_pair = AdmissiblePair(work_g, pair.H, pair.S)
         candidates = [minted[0].name]
+    wh = breaking_vertex_element(work_g, work_pair.H, w).scale(2)
     emitted = 0
     for fname in candidates:
-        wh = breaking_vertex_element(work_g, work_pair.H, w)
-        t1 = (wh * AlgebraElement.ghost(work_g, fname)).scale(2)
-        t2 = (AlgebraElement.edge(work_g, fname) * wh).scale(2)
-        a, a_inv = invert_unipotent(t1)
-        b, b_inv = invert_unipotent(t2)
-        cert = FreePairCertificate(
-            graph=work_g,
-            a=a,
-            a_inv=a_inv,
-            b=b,
-            b_inv=b_inv,
-            witness=BreakingVertexWitness(edge=fname, vertex=w),
-            pair=work_pair,
-            classification=res,
-            minted=minted,
-        )
+        t = AlgebraElement.edge(work_g, fname) * wh
+        cert = _certificate(work_g, t, BreakingVertexWitness(fname, w), work_pair, res, minted)
         emitted += _push(certs, seen, cert)
     return emitted
 
@@ -344,21 +331,28 @@ def _emit_edge_pairs(g, pair, res, target_cycle, certs, seen) -> int:
             work_g, work_pair, q, minted = g, pair, quotient, ()
     emitted = 0
     for fname, witness in candidates:
-        a, a_inv = invert_unipotent(AlgebraElement.ghost(work_g, fname).scale(2))
-        b, b_inv = invert_unipotent(AlgebraElement.edge(work_g, fname).scale(2))
-        cert = FreePairCertificate(
-            graph=work_g,
-            a=a,
-            a_inv=a_inv,
-            b=b,
-            b_inv=b_inv,
-            witness=witness,
-            pair=work_pair,
-            classification=res,
-            minted=minted,
-        )
-        emitted += _push(certs, seen, cert)
+        t = AlgebraElement.edge(work_g, fname).scale(2)
+        emitted += _push(certs, seen, _certificate(work_g, t, witness, work_pair, res, minted))
     return emitted
+
+
+def _certificate(g, t, witness, pair, classification, minted=(), s=None) -> FreePairCertificate:
+    """The certificate for b = 1 + t and a = 1 + s, with s = t* by default
+    (w^H is self-adjoint, so this gives a = 1 + 2 w^H f* for t = 2 f w^H).
+    ``invert_unipotent`` checks that s and t square to zero."""
+    a, a_inv = invert_unipotent(t.star() if s is None else s)
+    b, b_inv = invert_unipotent(t)
+    return FreePairCertificate(
+        graph=g,
+        a=a,
+        a_inv=a_inv,
+        b=b,
+        b_inv=b_inv,
+        witness=witness,
+        pair=pair,
+        classification=classification,
+        minted=minted,
+    )
 
 
 def _edge_witness(q: Graph, fname: str, target_cycle: tuple[str, ...] | None):
@@ -532,55 +526,48 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
 def certificate_for(g: Graph, a_text: str, b_text: str) -> FreePairCertificate:
     """Build a certificate from user-supplied generator expressions.
 
-    The parts t = a - 1 and b - 1 must be square-zero (their inverses come
-    from the unipotent shape).  The witness is recovered by matching the
-    normal forms against the known generator shapes; certificates without a
+    The parts a - 1 and t = b - 1 must be square-zero (their inverses come
+    from the unipotent shape).  The witness is read off the normal form of
+    t when a - 1 = t* (see ``_recognize``); certificates without a
     recognizable witness still verify in algebra mode.
     """
     a = normalize(g, a_text)
     b = normalize(g, b_text)
     one = AlgebraElement.one(g)
-    a_unit, a_inv = invert_unipotent(a - one)
-    b_unit, b_inv = invert_unipotent(b - one)
+    s, t = a - one, b - one
+    unclassified = ClassificationResult("unclassified", transcript=[])
+    if s != t.star():
+        return _certificate(g, t, _NoWitness(), AdmissiblePair(g, ()), unclassified, s=s)
+    witness, pair = _recognize(g, t)
+    return _certificate(g, t, witness, pair, unclassified)
 
-    witness = None
-    pair = AdmissiblePair(g, ())
-    classification = ClassificationResult("unclassified", transcript=[])
-    for fname in sorted(g.edges):
-        ghost2 = one + AlgebraElement.ghost(g, fname).scale(2)
-        edge2 = one + AlgebraElement.edge(g, fname).scale(2)
-        if a == ghost2 and b == edge2:
-            witness = _edge_witness(g, fname, None)
-            break
-    if witness is None:
-        for cand in enumerate_admissible(g):
-            for w in sorted(cand.breaking - cand.S):
-                if cand.S != cand.breaking - {w}:
-                    continue
-                wh = breaking_vertex_element(g, cand.H, w)
-                for fname in g.in_edges(w):
-                    t1 = (wh * AlgebraElement.ghost(g, fname)).scale(2)
-                    t2 = (AlgebraElement.edge(g, fname) * wh).scale(2)
-                    if a == one + t1 and b == one + t2:
-                        witness = BreakingVertexWitness(edge=fname, vertex=w)
-                        pair = cand
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    if witness is None:
-        witness = _NoWitness()
-    return FreePairCertificate(
-        graph=g,
-        a=a,
-        a_inv=a_inv,
-        b=b,
-        b_inv=b_inv,
-        witness=witness,
-        pair=pair,
-        classification=classification,
-    )
+
+def _recognize(g: Graph, t: AlgebraElement):
+    """Witness and admissible pair for b = 1 + t, read off its normal form.
+
+    The generators have t = 2f (an edge witness over the zero ideal) or
+    t = 2 f w^H = 2f - sum of 2 (fe) e* over the explicit edges e of w = r(f)
+    escaping H (the breaking vertex w of (H, B_H minus w)).  Any such H holds
+    the ranges of w's bundles and of its non-escaping edges, so it contains
+    their hereditary saturated closure, the least candidate and the only one
+    tried; an exact comparison with 2 f w^H decides.
+    """
+    zero_ideal = AdmissiblePair(g, ())
+    heads = [m.gamma.edges for m in t.terms if not m.lam.edges]
+    if len(heads) != 1 or len(heads[0]) != 1:
+        return _NoWitness(), zero_ideal
+    (fname,) = heads[0]
+    f = AlgebraElement.edge(g, fname).scale(2)
+    if t == f:
+        return _edge_witness(g, fname, None) or _NoWitness(), zero_ideal
+    w = g.edges[fname].dst
+    escaping = {m.lam.edges[0] for m in t.terms if m.lam.edges}
+    seed = [g.bundles[name].dst for name in g.out_bundles(w)]
+    seed += [g.edges[e].dst for e in g.out_edges(w) if e not in escaping]
+    pair = AdmissiblePair(g, g.hereditary_saturated_closure(seed))
+    if w not in pair.breaking or t != f * breaking_vertex_element(g, pair.H, w):
+        return _NoWitness(), zero_ideal
+    return BreakingVertexWitness(edge=fname, vertex=w), pair.with_S(pair.breaking - {w})
 
 
 @dataclass(frozen=True)

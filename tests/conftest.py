@@ -331,3 +331,44 @@ def brute_phi(pair, a: AlgebraElement) -> AlgebraElement:
             img = img * letter_image(name, True)
         total = total + img.scale(coeff)
     return total
+
+
+def brute_certificate_for(g: Graph, a_text: str, b_text: str):
+    """Witness and pair of a user generator pair (a, b), by trying every shape.
+
+    First 1 + 2f*, 1 + 2f for every edge f (the edge witness over the zero
+    ideal), then 1 + 2 w^H f*, 1 + 2 f w^H for every admissible pair (H, S)
+    of ``brute_admissible`` in its (|H|, H, |S|, S) order with S = B_H minus
+    one breaking vertex w, and every edge f into w; w^H is built here from
+    the graph data.  Returns the first match, else a ``_NoWitness`` over the
+    zero ideal.
+    """
+    from leavitt.exprs import normalize
+    from leavitt.freeness import BreakingVertexWitness, _edge_witness, _NoWitness
+    from leavitt.ideals import AdmissiblePair
+
+    a, b = normalize(g, a_text), normalize(g, b_text)
+    one = AlgebraElement.one(g)
+    zero_ideal = AdmissiblePair(g, ())
+    for fname in sorted(g.edges):
+        f = AlgebraElement.edge(g, fname)
+        if a == one + f.star().scale(2) and b == one + f.scale(2):
+            witness = _edge_witness(g, fname, None)
+            if witness is not None:
+                return witness, zero_ideal
+            break
+    for H, S in brute_admissible(g):
+        B = _breaking(g, H)
+        for w in sorted(B - S):
+            if S != B - {w}:
+                continue
+            wh = AlgebraElement.vertex(g, w)
+            for name in g.out_edges(w):
+                if g.edges[name].dst not in H:
+                    e = AlgebraElement.edge(g, name)
+                    wh = wh - e * e.star()
+            for fname in g.in_edges(w):
+                f = AlgebraElement.edge(g, fname)
+                if a == one + (wh * f.star()).scale(2) and b == one + (f * wh).scale(2):
+                    return BreakingVertexWitness(fname, w), AdmissiblePair(g, H, S)
+    return _NoWitness(), zero_ideal

@@ -238,3 +238,35 @@ def test_quotient_by_whole_vertex_set_is_improper(graph_file, capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "NotAdmissibleError"
     assert error["message"].startswith("H is the whole vertex set")
+
+
+def test_max_len_below_one_is_usage_error(graph_file, capsys, monkeypatch):
+    import leavitt.cli
+
+    def refuse(g):
+        raise AssertionError("discovery ran before --max-len was checked")
+
+    monkeypatch.setattr(leavitt.cli, "find_free_generators", refuse)
+    path = graph_file(examples.toeplitz())
+    commands = (["free-gens", path], ["verify-free", path, "--a", "1+2*f^*", "--b", "1+2*f"])
+    for argv in commands:
+        for bound in ("0", "-3"):
+            code, out, err = run(capsys, *argv, "--max-len", bound)
+            assert (code, out, err) == (2, "", "error: --max-len must be at least 1\n")
+            code, out, err = run(capsys, *argv, "--max-len", bound, "--json")
+            assert code == 2 and err == ""
+            error = json.loads(out)["error"]
+            assert error == {
+                "type": "UsageError",
+                "message": "--max-len must be at least 1",
+                "transcript": None,
+            }
+
+
+def test_classify_cycle_without_edges_is_usage_error(graph_file, capsys):
+    path = graph_file(examples.chained_loops())
+    code, out, err = run(capsys, "classify", path, "--H", "v", "--cycle", ",", "--poly", "1+x")
+    assert (code, out, err) == (2, "", "error: --cycle names no edge\n")
+    code, out, _ = run(capsys, "classify", path, "--H", "v", "--cycle", ",", "--poly", "1+x", "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "UsageError"

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from leavitt import examples
+from conftest import brute_certificate_for, random_bundle_graph
+from leavitt import examples, freeness
 from leavitt.algebra import AlgebraElement, eval_group_word
 from leavitt.errors import NoWitnessFoundError, NotInvariantError, NotSquareZeroError
 from leavitt.exprs import normalize
@@ -10,6 +13,7 @@ from leavitt.freeness import (
     InfinitePathEdgeWitness,
     SinkEdgeWitness,
     _matrix_context,
+    _NoWitness,
     certificate_for,
     count_reduced_words,
     find_free_generators,
@@ -205,6 +209,56 @@ def test_certificate_for_and_witness_recovery(toeplitz, double_emitter):
     )
     assert isinstance(cert2.witness, BreakingVertexWitness)
     assert verify_free_words(cert2, max_len=3, mode="both")["all_nontrivial"]
+
+
+def test_certificate_for_matches_scan_oracle():
+    # every discovered certificate, as given, swapped and inverted, gets the
+    # witness and pair that the scan over all admissible pairs finds first
+    graphs = [examples.ALL[name]() for name in sorted(examples.ALL)]
+    graphs += [random_bundle_graph(random.Random(seed)) for seed in range(40)]
+    kinds = set()
+    for g in graphs:
+        try:
+            certs = find_free_generators(g)
+        except NoWitnessFoundError:
+            continue
+        for cert in certs:
+            for x, y in ((cert.a, cert.b), (cert.b, cert.a), (cert.a_inv, cert.b_inv)):
+                got = certificate_for(cert.graph, str(x), str(y))
+                witness, pair = brute_certificate_for(cert.graph, str(x), str(y))
+                assert got.witness.to_json() == witness.to_json(), (g, x, y)
+                assert got.pair.to_json() == pair.to_json(), (g, x, y)
+                kinds.add(witness.to_json()["kind"])
+    assert kinds == {"sink_edge", "infinite_path_edge", "breaking_vertex", "none"}
+
+
+def test_certificate_for_never_enumerates(monkeypatch, double_emitter):
+    def refuse(g):
+        raise AssertionError("certificate_for enumerated admissible pairs")
+
+    monkeypatch.setattr(freeness, "enumerate_admissible", refuse)
+    # Toeplitz plus 17 isolated sinks has 2^17 * 3 admissible pairs
+    sinks = [f"z{i}" for i in range(17)]
+    g = Graph(["u", "v", *sinks], [("e", "u", "u"), ("f", "u", "v")])
+    cert = certificate_for(g, "1+2*f", "1+2*f^*")
+    assert isinstance(cert.witness, _NoWitness)
+    assert verify_free_words(cert, max_len=3, mode="algebra")["all_nontrivial"]
+    assert certificate_for(g, "1+2*f^*", "1+2*f").witness == SinkEdgeWitness("f", "v")
+    cert = certificate_for(double_emitter, "1 + 2*(w - f*f^*)*f^*", "1 + 2*f*(w - f*f^*)")
+    assert cert.witness == BreakingVertexWitness("f", "w")
+
+
+def test_certificate_for_takes_least_H(double_emitter):
+    # {u} and {u, z} both make w breaking with the same w^H; the least wins
+    g = Graph(
+        [*double_emitter.vertices, "z"],
+        list(double_emitter.edges.values()),
+        list(double_emitter.bundles.values()),
+    )
+    cert = certificate_for(g, "1 + 2*(w - f*f^*)*a^*", "1 + 2*a*(w - f*f^*)")
+    assert cert.witness == BreakingVertexWitness("a", "w")
+    assert cert.pair.to_json() == {"H": ["u"], "S": ["v"]}
+    assert verify_free_words(cert, 3, "both")["all_nontrivial"]
 
 
 def test_certificate_for_rejects_non_unipotent(toeplitz):
