@@ -17,11 +17,14 @@ special edge, rewriting via (CK2)
 
     (a d)(b d)*  ->  a b*  -  sum over e != d, s(e)=s(d) of (a e)(b e)*.
 
-The rewrite strictly shortens the one reducible tail and produces otherwise
-irreducible monomials, so it terminates; the surviving monomials form a
-basis, which makes the normal form a decision procedure for equality.
-Bundle edges never appear in elements (CK2 does not fire at infinite
-emitters), only explicit or minted representatives do.
+Each (a e)(b e)* ends in the non-special edge e, so it is a basis monomial;
+only a b* can reduce again.  Reduction is therefore one loop per raw
+monomial: strip special tail edges from the end, emitting the sibling terms
+at each strip, until the tails differ or stop being special.  Nothing is
+re-queued, and the surviving monomials form a basis, which makes the normal
+form a decision procedure for equality.  Bundle edges never appear in
+elements (CK2 does not fire at infinite emitters), only explicit or minted
+representatives do.
 
 Everything here is immutable and pure; products of independent elements can
 be evaluated concurrently without shared state.
@@ -29,7 +32,6 @@ be evaluated concurrently without shared state.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -61,66 +63,43 @@ class PathMonomial(NamedTuple):
         return "*".join(parts) if parts else self.gamma.source
 
 
-def _strip_last(p: Path, g: Graph) -> Path:
-    last = g.edges[p.edges[-1]]
-    return Path(p.source, p.edges[:-1], last.src)
+def add_term(terms: dict, mono: PathMonomial, coeff) -> None:
+    """Add coeff * mono into a term dict, dropping a sum that cancels."""
+    acc = terms.get(mono)
+    acc = coeff if acc is None else acc + coeff
+    if acc:
+        terms[mono] = acc
+    elif mono in terms:
+        del terms[mono]
 
 
-def _reduce_step(g: Graph, mono: PathMonomial):
-    """One CK2 rewrite at the tail, or None when the monomial is in the basis."""
-    if not mono.gamma.edges or not mono.lam.edges:
-        return None
-    d = mono.gamma.edges[-1]
-    if d != mono.lam.edges[-1]:
-        return None
-    src = g.edges[d].src
-    if not g.is_regular(src) or g.special_edge(src) != d:
-        return None
-    alpha = _strip_last(mono.gamma, g)
-    beta = _strip_last(mono.lam, g)
-    out = [(PathMonomial(alpha, beta), 1)]
-    for name in g.out_edges(src):
-        if name == d:
-            continue
-        e = g.edges[name]
-        out.append(
-            (
-                PathMonomial(
-                    Path(alpha.source, alpha.edges + (name,), e.dst),
-                    Path(beta.source, beta.edges + (name,), e.dst),
-                ),
-                -1,
-            )
-        )
-    return out
-
-
-def _normalize_terms(g: Graph, field, items, order_seed=None) -> dict:
-    """Reduce a raw (monomial, coefficient) stream to basis form.
-
-    ``order_seed`` shuffles the reduction worklist; any seed yields the same
-    result because each monomial has at most one redex and accumulation is
-    additive.  The randomization exists so canonicity can be tested.
-    """
-    rng = random.Random(order_seed) if order_seed is not None else None
+def _normalize_terms(g: Graph, items) -> dict:
+    """Reduce a raw (monomial, coefficient) stream to basis form, one loop
+    per monomial stripping its special tail edges (see the module notes)."""
     out: dict[PathMonomial, object] = {}
-    work = [(m, c) for m, c in items]
-    while work:
-        if rng is not None:
-            rng.shuffle(work)
-        mono, coeff = work.pop()
+    for mono, coeff in items:
         if not coeff:
             continue
-        step = _reduce_step(g, mono)
-        if step is None:
-            acc = out.get(mono)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-        else:
-            work.extend((m, coeff if sign > 0 else -coeff) for m, sign in step)
+        gamma, lam = mono
+        while gamma.edges and lam.edges:
+            d = gamma.edges[-1]
+            if d != lam.edges[-1]:
+                break
+            v = g.edges[d].src
+            if not g.is_regular(v) or g.special_edge(v) != d:
+                break
+            gamma = Path(gamma.source, gamma.edges[:-1], v)
+            lam = Path(lam.source, lam.edges[:-1], v)
+            mono = PathMonomial(gamma, lam)
+            for name in g.out_edges(v):
+                if name != d:
+                    end = g.edges[name].dst
+                    sibling = PathMonomial(
+                        Path(gamma.source, gamma.edges + (name,), end),
+                        Path(lam.source, lam.edges + (name,), end),
+                    )
+                    add_term(out, sibling, -coeff)
+        add_term(out, mono, coeff)
     return out
 
 
@@ -182,9 +161,9 @@ class AlgebraElement:
         return cls(g, field, terms)
 
     @classmethod
-    def from_terms(cls, g: Graph, items, field=QQ, order_seed=None) -> "AlgebraElement":
+    def from_terms(cls, g: Graph, items, field=QQ) -> "AlgebraElement":
         """Build from raw (PathMonomial, scalar) pairs, reducing to basis form."""
-        return cls(g, field, _normalize_terms(g, field, items, order_seed))
+        return cls(g, field, _normalize_terms(g, items))
 
     def with_field(self, field) -> "AlgebraElement":
         if field == self.field:
@@ -212,12 +191,7 @@ class AlgebraElement:
         a, b = self.with_field(field), other.with_field(field)
         terms = dict(a.terms)
         for m, c in b.terms.items():
-            acc = terms.get(m)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[m] = acc
-            elif m in terms:
-                del terms[m]
+            add_term(terms, m, c)
         return AlgebraElement(self.graph, field, terms)
 
     def __neg__(self):
@@ -243,7 +217,7 @@ class AlgebraElement:
             return self.scale(k)
         return NotImplemented
 
-    def mul(self, other: "AlgebraElement", order_seed=None) -> "AlgebraElement":
+    def mul(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_graph(other)
         field = _join_fields(self, other)
         a, b = self.with_field(field), other.with_field(field)
@@ -253,7 +227,7 @@ class AlgebraElement:
                 prod = _mono_mul(m1, m2)
                 if prod is not None:
                     raw.append((prod, c1 * c2))
-        return AlgebraElement.from_terms(self.graph, raw, field, order_seed)
+        return AlgebraElement.from_terms(self.graph, raw, field)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, scalars.ExtensionScalar)):
@@ -263,9 +237,14 @@ class AlgebraElement:
         return self.mul(other)
 
     def star(self) -> "AlgebraElement":
-        """The involution g l* -> l g* extended linearly (vertices are fixed)."""
-        return AlgebraElement.from_terms(
-            self.graph, [(m.star(), c) for m, c in self.terms.items()], self.field
+        """The involution g l* -> l g* extended linearly (vertices are fixed).
+
+        g l* is reducible exactly when g and l end in the same special edge,
+        a condition symmetric in g and l, so the swapped terms are basis
+        monomials already.
+        """
+        return AlgebraElement(
+            self.graph, self.field, {m.star(): c for m, c in self.terms.items()}
         )
 
     # comparison and printing

@@ -13,12 +13,11 @@ a ghost edge.  A bare rational k denotes k times the identity.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, add_term
 from .errors import ParseError, UnknownSymbolError
 from .graph import Graph
 from .scalars import QQ
@@ -183,12 +182,15 @@ def parse_expr(g: Graph, text: str):
     return _Parser(g, text).parse()
 
 
-def evaluate(g: Graph, tree, field=QQ, order_seed=None) -> AlgebraElement:
-    """Fold an expression tree into a canonical element."""
-    rng = random.Random(order_seed) if order_seed is not None else None
+def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
+    """Fold an expression tree into a canonical element.
 
-    def sub_seed():
-        return rng.getrandbits(32) if rng is not None else None
+    A chain of sums, differences and negations adds its summands into one
+    term dict, so reading back a printed normal form of n terms is linear
+    in n rather than copying the partial sum at every node.  Such chains
+    and chains of products are walked in a loop, so only parentheses nest
+    the recursion.
+    """
 
     def walk(node) -> AlgebraElement:
         if isinstance(node, Lit):
@@ -199,20 +201,40 @@ def evaluate(g: Graph, tree, field=QQ, order_seed=None) -> AlgebraElement:
             return AlgebraElement.edge(g, node.name, field)
         if isinstance(node, GhostSym):
             return AlgebraElement.ghost(g, node.name, field)
-        if isinstance(node, Sum):
-            return walk(node.left) + walk(node.right)
-        if isinstance(node, Diff):
-            return walk(node.left) - walk(node.right)
         if isinstance(node, Prod):
-            return walk(node.left).mul(walk(node.right), order_seed=sub_seed())
-        if isinstance(node, Neg):
-            return -walk(node.arg)
+            return product(node)
+        if isinstance(node, (Sum, Diff, Neg)):
+            return signed_sum(node)
         raise TypeError(f"not an expression node: {node!r}")
+
+    def product(node) -> AlgebraElement:
+        factors = []
+        while isinstance(node, Prod):
+            factors.append(node.right)
+            node = node.left
+        result = walk(node)
+        for factor in reversed(factors):
+            result = result.mul(walk(factor))
+        return result
+
+    def signed_sum(node) -> AlgebraElement:
+        terms: dict = {}
+        stack = [(node, False)]
+        while stack:
+            node, negate = stack.pop()
+            if isinstance(node, (Sum, Diff)):
+                stack += [(node.left, negate), (node.right, negate != isinstance(node, Diff))]
+            elif isinstance(node, Neg):
+                stack.append((node.arg, not negate))
+            else:
+                for m, c in walk(node).terms.items():
+                    add_term(terms, m, -c if negate else c)
+        return AlgebraElement(g, field, terms)
 
     return walk(tree)
 
 
-def normalize(g: Graph, source, field=QQ, order_seed=None) -> AlgebraElement:
+def normalize(g: Graph, source, field=QQ) -> AlgebraElement:
     """Normalize expression text (or an already-parsed tree) over a graph."""
     tree = parse_expr(g, source) if isinstance(source, str) else source
-    return evaluate(g, tree, field, order_seed)
+    return evaluate(g, tree, field)

@@ -52,7 +52,6 @@ from .modules import (
     mat_mul,
     matrix_of,
 )
-from .scalars import LaurentPoly
 
 
 class CommutativityReport(NamedTuple):
@@ -226,10 +225,7 @@ class FreePairCertificate:
 
 # discovery pipeline
 
-def find_free_generators(
-    g: Graph,
-    cycle_poly: LaurentPoly = DEFAULT_CYCLE_POLY,
-) -> list[FreePairCertificate]:
+def find_free_generators(g: Graph) -> list[FreePairCertificate]:
     """Certificates for non-cyclic free subgroups of the unit group.
 
     Enumerates admissible pairs, classifies each, keeps primitive ideals
@@ -265,7 +261,7 @@ def find_free_generators(
                 if cyc.has_exit:
                     continue
                 base_cycle = g.path(cyc.rep.source, cyc.rep.edges)
-                res3 = classify(IdealDescriptor(pair, cycle=base_cycle, poly=cycle_poly))
+                res3 = classify(IdealDescriptor(pair, cycle=base_cycle, poly=DEFAULT_CYCLE_POLY))
                 if res3.verdict == TYPE_III:
                     n += _emit_edge_pairs(g, pair, res3, tuple(cyc.rep.edges), certs, seen)
             scanned.append(f"{label}: graded not primitive, {n} type III certificate(s)")
@@ -526,9 +522,11 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
 def certificate_for(g: Graph, a_text: str, b_text: str) -> FreePairCertificate:
     """Build a certificate from user-supplied generator expressions.
 
-    The parts a - 1 and t = b - 1 must be square-zero (their inverses come
-    from the unipotent shape).  The witness is read off the normal form of
-    t when a - 1 = t* (see ``_recognize``); certificates without a
+    The parts s = a - 1 and t = b - 1 must be square-zero (their inverses
+    come from the unipotent shape).  When s = t*, the witness is read off
+    the normal form of t (see ``_recognize``), or else off that of s: the
+    swapped pair acts on the same span by the transposed Sanov matrices,
+    which generate a free group just the same.  Certificates without a
     recognizable witness still verify in algebra mode.
     """
     a = normalize(g, a_text)
@@ -539,7 +537,9 @@ def certificate_for(g: Graph, a_text: str, b_text: str) -> FreePairCertificate:
     if s != t.star():
         return _certificate(g, t, _NoWitness(), AdmissiblePair(g, ()), unclassified, s=s)
     witness, pair = _recognize(g, t)
-    return _certificate(g, t, witness, pair, unclassified)
+    if isinstance(witness, _NoWitness):
+        witness, pair = _recognize(g, s)
+    return _certificate(g, t, witness, pair, unclassified, s=s)
 
 
 def _recognize(g: Graph, t: AlgebraElement):

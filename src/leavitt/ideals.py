@@ -190,47 +190,43 @@ def _primed(p: Path, clones: dict[str, str], head: str) -> Path:
 
 
 def breaking_vertex_element(g: Graph, H, w: str, field=QQ) -> AlgebraElement:
-    """The element w^H = w - sum of e e* over explicit edges escaping H."""
+    """The element w^H = w - sum of e e* over explicit edges escaping H.
+
+    w is an infinite emitter, so CK2 never fires at it and each e e* is a
+    basis monomial: the terms are written down directly.
+    """
     Hs = frozenset(g.require_vertex(v) for v in H)
     if w not in g.breaking_vertices(Hs):
         raise NotBreakingVertexError(f"{w!r} is not a breaking vertex of {sorted(Hs)}")
-    result = AlgebraElement.vertex(g, w, field)
+    at_w = g.trivial_path(w)
+    terms = {PathMonomial(at_w, at_w): field.coerce(1)}
+    minus_one = field.coerce(-1)
     for name in g.out_edges(w):
-        if g.edges[name].dst in Hs:
-            continue
-        e = AlgebraElement.edge(g, name, field)
-        result = result - e * e.star()
-    return result
+        if g.edges[name].dst not in Hs:
+            e = g.edge_path(name)
+            terms[PathMonomial(e, e)] = minus_one
+    return AlgebraElement(g, field, terms)
 
 
 def poly_at_cycle(g: Graph, cycle: Path, poly: LaurentPoly, field=QQ) -> AlgebraElement:
     """Substitute a cycle for x in a Laurent polynomial.
 
     x^n becomes the n-fold cycle power, x^-n its ghost, and the constant
-    term multiplies the base vertex.
+    term multiplies the base vertex.  One of the two paths of each of these
+    monomials is trivial, so they are basis monomials and are written down
+    directly.
     """
     if not g.is_cycle(cycle):
         raise NotACycleError(f"{cycle} is not a cycle")
     if not poly.constant_term:
         raise ZeroConstantTermError(f"{poly} has zero constant term")
-    base = cycle.source
-    total = AlgebraElement.zero(g, field)
+    base = g.trivial_path(cycle.source)
+    terms = {}
     for exp, coeff in poly.items():
-        if exp == 0:
-            term = AlgebraElement.vertex(g, base, field)
-        elif exp > 0:
-            term = AlgebraElement.from_terms(g, [(_cycle_mono(g, cycle, exp), field.one)], field)
-        else:
-            term = AlgebraElement.from_terms(
-                g, [(_cycle_mono(g, cycle, -exp).star(), field.one)], field
-            )
-        total = total + term.scale(coeff)
-    return total
-
-
-def _cycle_mono(g: Graph, cycle: Path, power: int) -> PathMonomial:
-    path = Path(cycle.source, cycle.edges * power, cycle.source)
-    return PathMonomial(path, g.trivial_path(cycle.source))
+        power = Path(base.source, cycle.edges * abs(exp), base.end)
+        mono = PathMonomial(power, base) if exp >= 0 else PathMonomial(base, power)
+        terms[mono] = field.coerce(coeff)
+    return AlgebraElement(g, field, terms)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared fixtures: the standard graphs, random generators, and brute-force
 oracles kept independent of the library code paths they check."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,100 @@ def brute_cycles(g: Graph):
                 continue
             found.add(frozenset(seq))
     return found
+
+
+# canonical-form oracle: expand an expression tree with no intermediate
+# reduction, then reduce with a shuffled CK2 worklist, from graph data only
+
+def special_edge_of(g: Graph, v: str):
+    """The lexicographically largest out-edge of a regular vertex, else None
+    (sinks and infinite emitters have no CK2 relation)."""
+    if any(b.src == v for b in g.bundles.values()):
+        return None
+    outs = sorted(name for name, e in g.edges.items() if e.src == v)
+    return outs[-1] if outs else None
+
+
+def _path_end(g: Graph, source: str, edges: tuple) -> str:
+    return g.edges[edges[-1]].dst if edges else source
+
+
+def _raw_product(x: dict, y: dict) -> dict:
+    """Product of raw combinations {(g source, g edges, l source, l edges):
+    coeff}: (g l*)(r n*) is (g r') n* when r = l r', g (n l'')* when
+    l = r l'', else zero; like monomials are collected, nothing is reduced."""
+    out = {}
+    for (gs, ge, ls, le), c1 in x.items():
+        for (rs, re, ns, ne), c2 in y.items():
+            if ls != rs:
+                continue
+            if re[: len(le)] == le:
+                key = (gs, ge + re[len(le):], ns, ne)
+            elif le[: len(re)] == re:
+                key = (gs, ge, ns, ne + le[len(re):])
+            else:
+                continue
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _raw_expand(g: Graph, node) -> dict:
+    if isinstance(node, Lit):
+        return {(v, (), v, ()): node.value for v in g.vertices} if node.value else {}
+    if isinstance(node, VertexSym):
+        return {(node.name, (), node.name, ()): 1}
+    if isinstance(node, EdgeSym):
+        e = g.edges[node.name]
+        return {(e.src, (e.name,), e.dst, ()): 1}
+    if isinstance(node, GhostSym):
+        e = g.edges[node.name]
+        return {(e.dst, (), e.src, (e.name,)): 1}
+    if isinstance(node, Prod):
+        return _raw_product(_raw_expand(g, node.left), _raw_expand(g, node.right))
+    if isinstance(node, Neg):
+        return {k: -c for k, c in _raw_expand(g, node.arg).items()}
+    sign = 1 if isinstance(node, Sum) else -1
+    out = dict(_raw_expand(g, node.left))
+    for k, c in _raw_expand(g, node.right).items():
+        out[k] = out.get(k, 0) + sign * c
+    return out
+
+
+def shuffled_reduction(g: Graph, items, seed) -> dict:
+    """Basis terms of raw (PathMonomial, coeff) pairs by the CK2 rewrite
+    (a d)(b d)* -> a b* - sum over e != d of (a e)(b e)*, popping the
+    worklist in a seeded random order."""
+    rng = random.Random(seed)
+    out = {}
+    work = [(m, c) for m, c in items if c]
+    while work:
+        rng.shuffle(work)
+        mono, coeff = work.pop()
+        gam, lam = mono
+        d = gam.edges[-1] if gam.edges else None
+        v = g.edges[d].src if d is not None else None
+        if d is None or lam.edges[-1:] != (d,) or special_edge_of(g, v) != d:
+            out[mono] = out.get(mono, 0) + coeff
+            continue
+        a = Path(gam.source, gam.edges[:-1], v)
+        b = Path(lam.source, lam.edges[:-1], v)
+        work.append((PathMonomial(a, b), coeff))
+        for name, e in g.edges.items():
+            if e.src == v and name != d:
+                a_e = Path(a.source, a.edges + (name,), e.dst)
+                b_e = Path(b.source, b.edges + (name,), e.dst)
+                work.append((PathMonomial(a_e, b_e), -coeff))
+    return {m: c for m, c in out.items() if c}
+
+
+def brute_normal_form(g: Graph, tree, seed) -> dict:
+    """The basis terms of an expression tree: every product expanded on raw
+    monomials first, then one shuffled reduction of the whole expansion."""
+    items = []
+    for (gs, ge, ls, le), c in _raw_expand(g, tree).items():
+        r = _path_end(g, gs, ge)
+        items.append((PathMonomial(Path(gs, ge, r), Path(ls, le, r)), c))
+    return shuffled_reduction(g, items, seed)
 
 
 # random generators (seeded by the tests that use them)
@@ -340,35 +435,37 @@ def brute_certificate_for(g: Graph, a_text: str, b_text: str):
     ideal), then 1 + 2 w^H f*, 1 + 2 f w^H for every admissible pair (H, S)
     of ``brute_admissible`` in its (|H|, H, |S|, S) order with S = B_H minus
     one breaking vertex w, and every edge f into w; w^H is built here from
-    the graph data.  Returns the first match, else a ``_NoWitness`` over the
-    zero ideal.
+    the graph data.  The swapped pair (b, a) is tried the same way after
+    (a, b).  Returns the first match, else a ``_NoWitness`` over the zero
+    ideal.
     """
     from leavitt.exprs import normalize
     from leavitt.freeness import BreakingVertexWitness, _edge_witness, _NoWitness
     from leavitt.ideals import AdmissiblePair
 
-    a, b = normalize(g, a_text), normalize(g, b_text)
     one = AlgebraElement.one(g)
     zero_ideal = AdmissiblePair(g, ())
-    for fname in sorted(g.edges):
-        f = AlgebraElement.edge(g, fname)
-        if a == one + f.star().scale(2) and b == one + f.scale(2):
-            witness = _edge_witness(g, fname, None)
-            if witness is not None:
-                return witness, zero_ideal
-            break
-    for H, S in brute_admissible(g):
-        B = _breaking(g, H)
-        for w in sorted(B - S):
-            if S != B - {w}:
-                continue
-            wh = AlgebraElement.vertex(g, w)
-            for name in g.out_edges(w):
-                if g.edges[name].dst not in H:
-                    e = AlgebraElement.edge(g, name)
-                    wh = wh - e * e.star()
-            for fname in g.in_edges(w):
-                f = AlgebraElement.edge(g, fname)
-                if a == one + (wh * f.star()).scale(2) and b == one + (f * wh).scale(2):
-                    return BreakingVertexWitness(fname, w), AdmissiblePair(g, H, S)
+    for a, b in ((a_text, b_text), (b_text, a_text)):
+        a, b = normalize(g, a), normalize(g, b)
+        for fname in sorted(g.edges):
+            f = AlgebraElement.edge(g, fname)
+            if a == one + f.star().scale(2) and b == one + f.scale(2):
+                witness = _edge_witness(g, fname, None)
+                if witness is not None:
+                    return witness, zero_ideal
+                break
+        for H, S in brute_admissible(g):
+            B = _breaking(g, H)
+            for w in sorted(B - S):
+                if S != B - {w}:
+                    continue
+                wh = AlgebraElement.vertex(g, w)
+                for name in g.out_edges(w):
+                    if g.edges[name].dst not in H:
+                        e = AlgebraElement.edge(g, name)
+                        wh = wh - e * e.star()
+                for fname in g.in_edges(w):
+                    f = AlgebraElement.edge(g, fname)
+                    if a == one + (wh * f.star()).scale(2) and b == one + (f * wh).scale(2):
+                        return BreakingVertexWitness(fname, w), AdmissiblePair(g, H, S)
     return _NoWitness(), zero_ideal

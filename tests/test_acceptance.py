@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_element, random_expr_tree, relation_elements
+from conftest import brute_normal_form, random_element, random_expr_tree, relation_elements
 from leavitt import examples
 from leavitt.algebra import AlgebraElement, eval_group_word, invert_unipotent
 from leavitt.exprs import evaluate, normalize
@@ -69,10 +69,15 @@ def test_c02_canonicity():
         rng = random.Random(hash(name) & 0xFFFF)
         for i in range(1000):
             tree = random_expr_tree(rng, g, depth=3)
-            if evaluate(g, tree, order_seed=2 * i) != evaluate(g, tree, order_seed=10**9 - i):
+            got = evaluate(g, tree).terms
+            if got != brute_normal_form(g, tree, 2 * i) or got != brute_normal_form(g, tree, 10**9 - i):
                 ok = False
     elapsed = time.time() - t0
-    _verdict(2, f"1000 random expressions per fixture, two reduction orders ({elapsed:.1f}s)", ok and elapsed < 30)
+    _verdict(
+        2,
+        f"1000 random expressions per fixture against two shuffled reductions ({elapsed:.1f}s)",
+        ok and elapsed < 30,
+    )
 
 
 def test_c03_ring_and_involution_axioms():

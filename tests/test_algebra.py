@@ -3,7 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_element, random_expr_tree, relation_elements
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    brute_normal_form,
+    random_element,
+    random_expr_tree,
+    random_path_into,
+    relation_elements,
+    shuffled_reduction,
+    special_edge_of,
+)
+from leavitt import examples
 from leavitt.algebra import (
     AlgebraElement,
     PathMonomial,
@@ -71,12 +82,58 @@ def test_star_examples(toeplitz):
 
 
 def test_canonicity_under_shuffled_reduction(any_graph):
+    # one-pass reduction after every product agrees with reducing the whole
+    # unreduced expansion once, in two random worklist orders
     rng = random.Random(99)
     for i in range(150):
         tree = random_expr_tree(rng, any_graph, depth=3)
-        e1 = evaluate(any_graph, tree, order_seed=1000 + i)
-        e2 = evaluate(any_graph, tree, order_seed=77777 - i)
-        assert e1 == e2
+        got = evaluate(any_graph, tree).terms
+        assert got == brute_normal_form(any_graph, tree, 1000 + i)
+        assert got == brute_normal_form(any_graph, tree, 77777 - i)
+
+
+ROSES_AND_FIXTURES = [
+    Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v")]),
+    Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v"), ("e3", "v", "v")]),
+    Graph(["v", "w"], [("e1", "v", "v"), ("e2", "v", "v"), ("f", "v", "w"), ("g", "w", "v")]),
+] + [examples.ALL[name]() for name in sorted(examples.ALL)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ROSES_AND_FIXTURES), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_from_terms_matches_shuffled_worklist_on_special_tails(g, seed, count):
+    # raw monomials p t (q t)* with t a run of up to 6 special edges, such
+    # as powers of the special loop on a rose, reduce edge by edge
+    rng = random.Random(seed)
+    raw = []
+    for _ in range(count):
+        r = rng.choice(g.vertices)
+        tail, end = (), r
+        for _ in range(rng.randint(0, 6)):
+            d = special_edge_of(g, end)
+            if d is None:
+                break
+            tail, end = tail + (d,), g.edges[d].dst
+        p, q = random_path_into(rng, g, r, 3), random_path_into(rng, g, r, 3)
+        mono = PathMonomial(Path(p.source, p.edges + tail, end), Path(q.source, q.edges + tail, end))
+        raw.append((mono, Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))))
+    got = AlgebraElement.from_terms(g, raw).terms
+    assert got == shuffled_reduction(g, raw, seed)
+    assert got == shuffled_reduction(g, raw, seed + 1)
+
+
+def test_star_is_written_down_directly(any_graph, monkeypatch):
+    elems = [random_element(random.Random(i), any_graph) for i in range(20)]
+    swapped = [[(m.star(), c) for m, c in e.terms.items()] for e in elems]
+    expected = [AlgebraElement.from_terms(any_graph, raw) for raw in swapped]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("star renormalized")
+
+    monkeypatch.setattr(AlgebraElement, "from_terms", classmethod(refuse))
+    monkeypatch.setattr(AlgebraElement, "mul", refuse)
+    for e, want in zip(elems, expected):
+        assert e.star() == want
 
 
 def test_ring_axioms_random(any_graph):

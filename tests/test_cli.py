@@ -137,6 +137,16 @@ def test_verify_free_full_depth(graph_file, capsys):
     assert data["word_count"] == 13120 and data["all_nontrivial"]
 
 
+def test_verify_free_swapped_pair_in_default_mode(graph_file, capsys):
+    path = graph_file(examples.toeplitz())
+    code, out, _ = run(
+        capsys, "verify-free", path, "--a", "1+2*f", "--b", "1+2*f^*", "--max-len", "3", "--json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["mode"] == "both" and data["word_count"] == 52 and data["all_nontrivial"]
+
+
 def test_exit_code_domain_error(graph_file, capsys):
     path = graph_file(examples.toeplitz())
     # {u} is not hereditary: domain error, exit 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_element
+from leavitt.algebra import AlgebraElement
 from leavitt.errors import ParseError, UnknownSymbolError
 from leavitt.exprs import (
     Diff,
@@ -70,6 +71,32 @@ def test_print_parse_roundtrip(any_graph):
     for _ in range(120):
         elem = random_element(rng, any_graph)
         assert normalize(any_graph, str(elem)) == elem
+
+
+def test_reading_back_a_normal_form_adds_in_one_dict(any_graph, monkeypatch):
+    rng = random.Random(5)
+    elems = [random_element(rng, any_graph, depth=4) for _ in range(10)]
+    adds = []
+    real_add = AlgebraElement.__add__
+
+    def counted(self, other):
+        adds.append(1)
+        return real_add(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__add__", counted)
+    for elem in elems:
+        assert normalize(any_graph, str(elem)) == elem
+    assert adds == []
+
+
+def test_long_sums_and_products_read_back():
+    # 1500 summands and a 1500-edge path: deeper than the recursion limit
+    g = Graph(["v"], [(f"e{i}", "v", "v") for i in range(1500)])
+    wide = normalize(g, " + ".join(f"{i + 1}*e{i}" for i in range(1500)))
+    assert len(wide.terms) == 1500 and normalize(g, str(wide)) == wide
+    deep = normalize(g, "*".join(["e7"] * 1500))
+    assert [len(m.gamma.edges) for m in deep.terms] == [1500]
+    assert normalize(g, str(deep)) == deep
 
 
 # names the identifier pattern allows, biased towards "_", "#" and "'"

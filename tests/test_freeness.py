@@ -13,7 +13,6 @@ from leavitt.freeness import (
     InfinitePathEdgeWitness,
     SinkEdgeWitness,
     _matrix_context,
-    _NoWitness,
     certificate_for,
     count_reduced_words,
     find_free_generators,
@@ -240,12 +239,25 @@ def test_certificate_for_never_enumerates(monkeypatch, double_emitter):
     # Toeplitz plus 17 isolated sinks has 2^17 * 3 admissible pairs
     sinks = [f"z{i}" for i in range(17)]
     g = Graph(["u", "v", *sinks], [("e", "u", "u"), ("f", "u", "v")])
+    # the swapped pair is read off a - 1 = 2f and acts by the transposes
     cert = certificate_for(g, "1+2*f", "1+2*f^*")
-    assert isinstance(cert.witness, _NoWitness)
-    assert verify_free_words(cert, max_len=3, mode="algebra")["all_nontrivial"]
+    assert cert.witness == SinkEdgeWitness("f", "v")
+    assert verify_free_words(cert, max_len=3, mode="both")["all_nontrivial"]
     assert certificate_for(g, "1+2*f^*", "1+2*f").witness == SinkEdgeWitness("f", "v")
     cert = certificate_for(double_emitter, "1 + 2*(w - f*f^*)*f^*", "1 + 2*f*(w - f*f^*)")
     assert cert.witness == BreakingVertexWitness("f", "w")
+
+
+def test_swapped_certificates_verify_in_both_modes():
+    # (b, a) is read off a - 1 and acts by the transposed Sanov matrices
+    count = 0
+    for name in sorted(examples.ALL):
+        for cert in find_free_generators(examples.ALL[name]()):
+            swapped = certificate_for(cert.graph, str(cert.b), str(cert.a))
+            assert swapped.witness.to_json()["kind"] != "none", (name, str(cert.b))
+            assert verify_free_words(swapped, 4, "both")["all_nontrivial"], (name, str(cert.b))
+            count += 1
+    assert count == 17
 
 
 def test_certificate_for_takes_least_H(double_emitter):

@@ -25,7 +25,7 @@ from leavitt.ideals import (
     enumerate_admissible,
     poly_at_cycle,
 )
-from leavitt.scalars import LaurentPoly
+from leavitt.scalars import ExtensionField, LaurentPoly
 
 
 def test_pair_validation(toeplitz, double_emitter):
@@ -135,12 +135,12 @@ def test_phi_is_one_pass_without_products(double_emitter, monkeypatch):
     passes = []
     real = AlgebraElement.from_terms.__func__
 
-    def counted(cls, g, items, field=None, order_seed=None):
+    def counted(cls, g, items, field=None):
         items = list(items)
         passes.append(len(items))
-        return real(cls, g, items, field, order_seed)
+        return real(cls, g, items, field)
 
-    def no_products(self, other, order_seed=None):
+    def no_products(self, other):
         raise AssertionError("phi formed an algebra product")
 
     monkeypatch.setattr(AlgebraElement, "from_terms", classmethod(counted))
@@ -156,6 +156,25 @@ def test_breaking_vertex_element(double_emitter, toeplitz):
     assert vh == normalize(double_emitter, "v - h*h^* - a*a^*")
     with pytest.raises(NotBreakingVertexError):
         breaking_vertex_element(toeplitz, {"v"}, "u")
+
+
+def test_closed_forms_make_no_products(double_emitter, cycle_with_side_loop, monkeypatch):
+    g, c = cycle_with_side_loop, cycle_with_side_loop.path("v1", ["e1", "e2", "e3", "e4"])
+    poly = LaurentPoly.parse("2 - 3*x^-2 + x + 1/2*x^3")
+    cyc, ghost = "e1*e2*e3*e4", "e4^* * e3^* * e2^* * e1^*"
+    want_poly = normalize(g, f"2*v1 - 3*{ghost}*{ghost} + {cyc} + 1/2*{cyc}*{cyc}*{cyc}")
+    want_wh = normalize(double_emitter, "v - h*h^* - a*a^*")
+    quadratic = ExtensionField(LaurentPoly.parse("x^2 - 2"))
+    want_ext = normalize(g, "2*v1 + e1*e2*e3*e4").with_field(quadratic)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed form was renormalized")
+
+    monkeypatch.setattr(AlgebraElement, "from_terms", classmethod(refuse))
+    monkeypatch.setattr(AlgebraElement, "mul", refuse)
+    assert poly_at_cycle(g, c, poly) == want_poly
+    assert poly_at_cycle(g, c, LaurentPoly.parse("2 + x"), quadratic) == want_ext
+    assert breaking_vertex_element(double_emitter, {"u"}, "v") == want_wh
 
 
 def test_membership_law(double_emitter, loop_with_two_exits):
