@@ -63,14 +63,15 @@ class PathMonomial(NamedTuple):
         return "*".join(parts) if parts else self.gamma.source
 
 
-def add_term(terms: dict, mono: PathMonomial, coeff) -> None:
-    """Add coeff * mono into a term dict, dropping a sum that cancels."""
-    acc = terms.get(mono)
+def add_term(terms: dict, key, coeff) -> None:
+    """Add coeff * key into a dict of monomial or basis-path terms, dropping
+    a sum that cancels."""
+    acc = terms.get(key)
     acc = coeff if acc is None else acc + coeff
     if acc:
-        terms[mono] = acc
-    elif mono in terms:
-        del terms[mono]
+        terms[key] = acc
+    elif key in terms:
+        del terms[key]
 
 
 def _normalize_terms(g: Graph, items) -> dict:

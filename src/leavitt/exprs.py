@@ -20,7 +20,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, add_term
 from .errors import ParseError, UnknownSymbolError
 from .graph import Graph
-from .scalars import QQ
+from .scalars import QQ, rational_literal
 
 
 # expression-tree nodes
@@ -146,7 +146,7 @@ class _Parser:
         kind, val, at = self.peek()
         if kind == "rat":
             self.take()
-            return Lit(Fraction(val.replace(" ", "")))
+            return Lit(rational_literal(val.replace(" ", ""), at))
         if kind == "-":
             self.take()
             return Neg(self.factor())

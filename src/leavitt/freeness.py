@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, invert_unipotent
+from .algebra import _INVERSE_LETTER, AlgebraElement, invert_unipotent
 from .errors import NoWitnessFoundError, NotInvariantError
 from .exprs import normalize
 from .graph import SINK, Cycle, Edge, Graph
@@ -407,7 +407,6 @@ def _path_to_cycle(q: Graph, start: str, target_cycle: tuple[str, ...] | None):
 # bounded verification
 
 _LETTERS = "aAbB"
-_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 
 def count_reduced_words(max_len: int) -> int:
@@ -421,7 +420,7 @@ def reduced_words(max_len: int):
     while stack:
         word = stack.pop()
         for ch in reversed(_LETTERS):
-            if word and _INVERSE[word[-1]] == ch:
+            if word and _INVERSE_LETTER[word[-1]] == ch:
                 continue
             new = word + ch
             yield new
@@ -482,7 +481,7 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
     while stack and failure is None:
         word, prod, mat = stack.pop()
         for ch in reversed(_LETTERS):
-            if word and _INVERSE[word[-1]] == ch:
+            if word and _INVERSE_LETTER[word[-1]] == ch:
                 continue
             new_word = word + ch
             new_prod = prod * elems[ch] if use_alg else None

@@ -8,17 +8,19 @@ families:
 * :class:`InfiniteEmitterModule` S_v: basis = finite paths ending at an
   infinite emitter v (including v itself).
 * :class:`RationalPathModule` V_[mu]: basis = infinite paths tail-equivalent
-  to c^inf for a cycle c.  Only eventually periodic paths are representable:
-  a basis vector is a (finite prefix, cycle rotation) pair, canonically
-  reduced so the prefix never ends with the edge the rotation would absorb.
+  to c^inf for a cycle c.  The basis vector p·c^inf is stored as the finite
+  path p, which ends at the base of c and does not end in a whole period c;
+  this form is unique because the sources of a cycle's edges are distinct.
 * :class:`TwistedRationalPathModule` V_[mu]^f: the same basis over the
   extension K' = Q[x,x^-1]/(f), where the distinguished first cycle edge e1
   acts through the automorphism e1 -> x*e1, e1* -> x^-1*e1*.
 
 Generators act on a basis path by the usual rules: a vertex projects onto
 paths it sources, an edge prepends when composable, a ghost edge strips a
-leading edge (and kills length-0 paths).  The action of a general element is
-the bilinear extension, evaluated term by term.
+leading edge (and kills length-0 paths).  A monomial g l* strips l as a
+prefix with one slice and prepends g; V_[mu] first appends whole periods so
+that l fits, then folds trailing periods back.  The action of a general
+element is the bilinear extension, evaluated term by term.
 
 ``invariant_pair`` returns the ordered basis (q, p) = (f . base, base) of
 the two-dimensional invariant subspace attached to a witness edge f, and
@@ -27,9 +29,7 @@ the two-dimensional invariant subspace attached to a witness edge f, and
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, add_term
 from .errors import (
     FieldMismatchError,
     GraphError,
@@ -39,21 +39,7 @@ from .errors import (
     NotInvariantError,
 )
 from .graph import INFINITE_EMITTER, SINK, Graph, Path
-from .scalars import QQ, ExtensionField, RationalField
-
-
-class RationalVector(NamedTuple):
-    """Eventually periodic infinite path: prefix then rotation^inf.
-
-    ``rotation`` indexes the cycle edge the periodic tail starts at.  The
-    canonical form absorbs as much of the prefix into the tail as possible.
-    """
-
-    prefix: Path
-    rotation: int
-
-    def __str__(self):
-        return f"{self.prefix}·(tail)@{self.rotation}"
+from .scalars import QQ, ExtensionField, RationalField, _power
 
 
 class ModuleVector:
@@ -70,12 +56,7 @@ class ModuleVector:
             return NotImplemented
         terms = dict(self.terms)
         for b, c in other.terms.items():
-            acc = terms.get(b)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[b] = acc
-            elif b in terms:
-                del terms[b]
+            add_term(terms, b, c)
         return ModuleVector(self.module, terms)
 
     def scale(self, k):
@@ -119,7 +100,7 @@ class _BaseModule:
         if a.field == self.field:
             return a
         if isinstance(a.field, RationalField):
-            return a.with_field(self.field) if not isinstance(self.field, RationalField) else a
+            return a.with_field(self.field)
         raise FieldMismatchError(
             f"element over {a.field!r} cannot act on a module over {self.field!r}"
         )
@@ -136,13 +117,7 @@ class _BaseModule:
                 if hit is None:
                     continue
                 factor, target = hit
-                total = coeff * c if factor is None else coeff * c * factor
-                acc = out.get(target)
-                acc = total if acc is None else acc + total
-                if acc:
-                    out[target] = acc
-                elif target in out:
-                    del out[target]
+                add_term(out, target, coeff * c if factor is None else coeff * c * factor)
         return ModuleVector(self, out)
 
     # subclasses: _act_monomial(gamma, lam, basis) -> (twist factor | None, basis) | None
@@ -152,7 +127,7 @@ class _BaseModule:
 
 
 class _FinitePathModule(_BaseModule):
-    """Common action on finite-path bases (sink and infinite-emitter kinds)."""
+    """Action on bases of finite paths ending at one terminal vertex."""
 
     def __init__(self, graph: Graph, terminal: str, field=QQ):
         self.graph = graph
@@ -166,17 +141,11 @@ class _FinitePathModule(_BaseModule):
         return p
 
     def _act_monomial(self, gamma: Path, lam: Path, b: Path):
-        # strip lam as a prefix of b, then prepend gamma
+        # strip lam as a prefix of b, then prepend gamma; r(gamma) = r(lam)
         nl = len(lam.edges)
         if lam.source != b.source or b.edges[:nl] != lam.edges:
             return None
-        rest = Path(lam.end, b.edges[nl:], b.end)
-        if gamma.end != rest.source:
-            return None
-        return None, Path(gamma.source, gamma.edges + rest.edges, rest.end)
-
-    def describe(self, b: Path) -> str:
-        return str(b)
+        return None, Path(gamma.source, gamma.edges + b.edges[nl:], b.end)
 
 
 class SinkModule(_FinitePathModule):
@@ -201,18 +170,17 @@ class InfiniteEmitterModule(_FinitePathModule):
             raise GraphError(f"{emitter!r} is not an infinite emitter")
 
 
-class RationalPathModule(_BaseModule):
-    """V_[mu] for mu = prefix . cycle^inf, over eventually periodic paths."""
+class RationalPathModule(_FinitePathModule):
+    """V_[mu] for mu = prefix . cycle^inf; the basis path p stands for p . cycle^inf."""
 
     kind = "V_rational"
     twisted_edge: str | None = None
 
     def __init__(self, graph: Graph, cycle: Path, prefix: Path | None = None, field=QQ):
-        self.graph = graph
         if not graph.is_cycle(cycle):
             raise NotACycleError(f"{cycle} is not a cycle")
+        super().__init__(graph, cycle.source, field)
         self.cycle = cycle
-        self.field = field
         self._sources = [graph.edges[e].src for e in cycle.edges]
         if prefix is None:
             prefix = graph.trivial_path(cycle.source)
@@ -224,75 +192,49 @@ class RationalPathModule(_BaseModule):
     def rotation_source(self, k: int) -> str:
         return self._sources[k % len(self._sources)]
 
-    def vector_from(self, prefix: Path, rotation: int) -> RationalVector:
-        """Canonicalize: absorb prefix edges that the periodic tail repeats."""
-        m = len(self.cycle.edges)
-        rotation %= m
+    def _fold(self, p: Path) -> Path:
+        """Drop trailing whole periods: p . c and p name the same infinite path."""
+        c = self.cycle.edges
+        edges = p.edges
+        while edges[-len(c):] == c:
+            edges = edges[: -len(c)]
+        return p if edges is p.edges else Path(p.source, edges, p.end)
+
+    def basis_path(self, source: str, edges=()) -> Path:
+        return self._fold(super().basis_path(source, edges))
+
+    def vector_from(self, prefix: Path, rotation: int) -> Path:
+        """The basis path of prefix . (cycle from edge ``rotation``)^inf."""
+        rotation %= len(self.cycle.edges)
         if prefix.end != self.rotation_source(rotation):
             raise GraphError(f"prefix {prefix} does not flow into rotation {rotation}")
-        edges = list(prefix.edges)
-        while edges and edges[-1] == self.cycle.edges[(rotation - 1) % m]:
-            edges.pop()
-            rotation = (rotation - 1) % m
-        start = self.rotation_source(rotation)
-        if edges:
-            return RationalVector(Path(prefix.source, tuple(edges), start), rotation)
-        return RationalVector(Path(start, (), start), rotation)
+        tail = self.cycle.edges[rotation:]
+        return self._fold(Path(prefix.source, prefix.edges + tail, self.terminal))
 
-    def _source_of(self, b: RationalVector) -> str:
-        return b.prefix.source
-
-    def _first_edge(self, b: RationalVector) -> str:
-        if b.prefix.edges:
-            return b.prefix.edges[0]
-        return self.cycle.edges[b.rotation]
-
-    def _strip_first(self, b: RationalVector) -> RationalVector:
-        m = len(self.cycle.edges)
-        if b.prefix.edges:
-            e = self.graph.edges[b.prefix.edges[0]]
-            return RationalVector(Path(e.dst, b.prefix.edges[1:], b.prefix.end), b.rotation)
-        rot = (b.rotation + 1) % m
-        return RationalVector(
-            Path(self.rotation_source(rot), (), self.rotation_source(rot)), rot
-        )
-
-    def _twist_power(self, edge_name: str) -> int:
-        return 1 if edge_name == self.twisted_edge else 0
-
-    def _act_monomial(self, gamma: Path, lam: Path, b: RationalVector):
+    def _act_monomial(self, gamma: Path, lam: Path, b: Path):
+        c = self.cycle.edges
+        short = len(lam.edges) - len(b.edges)
+        if short > 0:  # append whole periods until lam fits
+            b = Path(b.source, b.edges + c * -(-short // len(c)), b.end)
+        hit = super()._act_monomial(gamma, lam, b)
+        if hit is None:
+            return None
+        target = self._fold(hit[1])
         twist = 0
-        cur = b
-        for name in lam.edges:
-            if self._source_of(cur) != self.graph.edges[name].src or self._first_edge(cur) != name:
-                return None
-            twist -= self._twist_power(name)
-            cur = self._strip_first(cur)
-        if lam.is_vertex and lam.source != self._source_of(cur):
-            return None
-        if gamma.end != self._source_of(cur):
-            return None
-        for name in reversed(gamma.edges):
-            twist += self._twist_power(name)
-        target = self.vector_from(
-            Path(gamma.source, gamma.edges + cur.prefix.edges, cur.prefix.end), cur.rotation
-        )
+        if self.twisted_edge is not None:
+            twist = gamma.edges.count(self.twisted_edge) - lam.edges.count(self.twisted_edge)
         if twist == 0:
             return None, target
-        xbar = self.field.generator() if twist > 0 else self.field.generator().inverse()
-        factor = self.field.one
-        for _ in range(abs(twist)):
-            factor = factor * xbar
-        return factor, target
+        xbar = self.field.generator()
+        return _power(xbar if twist > 0 else xbar.inverse(), abs(twist)), target
 
-    def describe(self, b: RationalVector) -> str:
-        tail = "·".join(self.cycle.edges[b.rotation:] + self.cycle.edges[: b.rotation])
-        head = f"{b.prefix}·" if b.prefix.edges else ""
-        return f"{head}({tail})^inf@{b.rotation}"
+    def describe(self, b: Path) -> str:
+        head = f"{b}·" if b.edges else ""
+        return f"{head}({'·'.join(self.cycle.edges)})^inf"
 
 
 class TwistedRationalPathModule(RationalPathModule):
-    """V_[mu]^f over K' = Q[x,x^-1]/(f): the rotation's first edge is twisted.
+    """V_[mu]^f over K' = Q[x,x^-1]/(f): the cycle's first edge is twisted.
 
     Rational-coefficient elements embed into K' before acting; elements over
     a different extension are rejected.
@@ -328,15 +270,11 @@ def invariant_pair(module, edge_name: str) -> tuple:
         return g.edge_path(edge_name), g.trivial_path(module.terminal)
     if isinstance(module, RationalPathModule):
         base = module.base
-        start = base.prefix.source
-        if f.dst != start or f.src == f.dst:
+        if f.dst != base.source or f.src == f.dst:
             raise NotAWitnessEdgeError(
-                f"edge {edge_name!r} is not a witness for the tail starting at {start!r}"
+                f"edge {edge_name!r} is not a witness for the tail starting at {base.source!r}"
             )
-        q = module.vector_from(
-            Path(f.src, (edge_name,) + base.prefix.edges, base.prefix.end), base.rotation
-        )
-        return q, base
+        return module.basis_path(f.src, (edge_name,) + base.edges), base
     raise NotAWitnessEdgeError(f"no invariant pair construction for {module.kind}")
 
 

@@ -45,6 +45,14 @@ _TERM_RE = re.compile(
 )
 
 
+def rational_literal(text: str, at: int) -> Fraction:
+    """Read a written rational "p" or "p/q"; a zero q is a ParseError at ``at``."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r} at position {at}") from None
+
+
 class LaurentPoly:
     """Finitely supported map from integer exponents to rationals.
 
@@ -82,7 +90,7 @@ class LaurentPoly:
                 raise ParseError(f"missing '+'/'-' before position {pos}: {text!r}")
             sign = -1 if m.group("sign") == "-" else 1
             if m.group("coeff") is not None:
-                coeff = Fraction(m.group("coeff"))
+                coeff = rational_literal(m.group("coeff"), m.start("coeff"))
                 exp = 0
                 if m.group("xc") is not None:
                     exp = int(m.group("expc")) if m.group("expc") is not None else 1

@@ -469,3 +469,33 @@ def brute_certificate_for(g: Graph, a_text: str, b_text: str):
                     if a == one + (wh * f.star()).scale(2) and b == one + (f * wh).scale(2):
                         return BreakingVertexWitness(fname, w), AdmissiblePair(g, H, S)
     return _NoWitness(), zero_ideal
+
+
+def brute_rational_action(g: Graph, cycle: tuple, vec, gamma: Path, lam: Path, twisted=None):
+    """Act by gamma lam^* on the eventually periodic path vec, edge by edge.
+
+    ``vec = (source, prefix_edges, rotation)`` spells the infinite path
+    prefix . (cycle from edge ``rotation``)^inf; no canonical form is kept.
+    Each letter of lam must be the current first edge, which is read off
+    the prefix or, once the prefix is used up, off the cycle at the current
+    rotation.  Returns None when lam is not a prefix, else (twist, vec')
+    with twist = (# twisted in gamma) - (# twisted in lam).
+    """
+    source, prefix, rot = vec
+    if lam.source != source:
+        return None
+    twist = 0
+    for name in lam.edges:
+        first = prefix[0] if prefix else cycle[rot]
+        if first != name:
+            return None
+        if prefix:
+            prefix = prefix[1:]
+        else:
+            rot = (rot + 1) % len(cycle)
+        source = g.edges[name].dst
+        twist -= name == twisted
+    if gamma.end != source:
+        return None
+    twist += sum(name == twisted for name in gamma.edges)
+    return twist, (gamma.source, gamma.edges + prefix, rot)

@@ -29,7 +29,7 @@ from leavitt.errors import (
 )
 from leavitt.exprs import evaluate, normalize
 from leavitt.graph import Graph, Path
-from leavitt.modules import RationalPathModule, RationalVector
+from leavitt.modules import RationalPathModule
 
 
 def test_ck1_annihilation(toeplitz):
@@ -281,7 +281,7 @@ def test_paths_and_monomials_agree_across_routes(toeplitz):
 
     module = RationalPathModule(g, g.path("u", ["e"]))
     absorbed = module.vector_from(g.edge_path("e"), 0)  # e . e^inf is e^inf
-    built = RationalVector(g.trivial_path("u"), 0)
+    built = g.trivial_path("u")
     assert absorbed == built == module.base and hash(absorbed) == hash(built)
     image = module.act(AlgebraElement.edge(g, "e"), module.basis_vector(built))
     assert image.terms == {built: 1}

@@ -280,3 +280,22 @@ def test_classify_cycle_without_edges_is_usage_error(graph_file, capsys):
     code, out, _ = run(capsys, "classify", path, "--H", "v", "--cycle", ",", "--poly", "1+x", "--json")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "UsageError"
+
+
+def test_zero_denominator_is_a_parse_error(graph_file, capsys):
+    path = graph_file(examples.toeplitz())
+    cases = [
+        (["normalize", path, "2/0*e"], "zero denominator in '2/0' at position 0"),
+        (
+            ["verify-free", path, "--a", "1+2/0*f^*", "--b", "1+2*f"],
+            "zero denominator in '2/0' at position 2",
+        ),
+        (["classify", path, "--cycle", "e", "--poly", "1/0 + x"], "zero denominator in '1/0' at position 0"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 2 and err == ""
+        error = json.loads(out)["error"]
+        assert error == {"type": "ParseError", "message": message, "transcript": None}

@@ -47,6 +47,13 @@ def test_parse_errors(toeplitz):
             parse_expr(toeplitz, bad)
 
 
+def test_zero_denominator_is_a_parse_error(toeplitz):
+    for text, at in [("2/0*e", 0), ("1 + 2 / 0*f^*", 4), ("e*(3/00)", 3)]:
+        with pytest.raises(ParseError, match=f"zero denominator in .* at position {at}$"):
+            parse_expr(toeplitz, text)
+    assert normalize(toeplitz, "0/3*e + 2/4*f") == normalize(toeplitz, "1/2*f")
+
+
 def test_unknown_and_misused_symbols(toeplitz, double_emitter):
     with pytest.raises(UnknownSymbolError):
         parse_expr(toeplitz, "zz")

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_element, relation_elements
-from leavitt.algebra import AlgebraElement
+from conftest import brute_rational_action, random_element, random_path_into, relation_elements
+from leavitt import examples
+from leavitt.algebra import AlgebraElement, PathMonomial
 from leavitt.errors import (
     FieldMismatchError,
     GraphError,
@@ -13,6 +15,7 @@ from leavitt.errors import (
     NotInvariantError,
 )
 from leavitt.exprs import normalize
+from leavitt.graph import Graph
 from leavitt.modules import (
     InfiniteEmitterModule,
     RationalPathModule,
@@ -110,10 +113,9 @@ def test_rational_canonical_form(cycle_with_side_loop):
     g = cycle_with_side_loop
     c = g.path("v1", ["e1", "e2", "e3", "e4"])
     m = RationalPathModule(g, c)
-    # prefix e4 absorbs into the tail as rotation 3
+    # e4 . c^inf is spelled by the prefix e4 or by rotation 3; both give e4
     v = m.vector_from(g.path("v4", ["e4"]), 0)
-    assert v.prefix.is_vertex
-    assert v.rotation == 3
+    assert v == g.path("v4", ["e4"]) == m.vector_from(g.trivial_path("v4"), 3)
     # acting by c* then c fixes every basis vector that starts with the
     # period c (c* annihilates the others)
     ce = AlgebraElement.one(g)
@@ -179,7 +181,7 @@ def test_invariant_pair_examples(toeplitz, chained_loops):
     mu = RationalPathModule(chained_loops, chained_loops.path("u", ["e"]))
     q2, p2 = invariant_pair(mu, "g")
     assert p2 == mu.base
-    assert q2.prefix.edges == ("g",)
+    assert q2.edges == ("g",)
     with pytest.raises(NotAWitnessEdgeError):
         invariant_pair(mu, "e")  # s(e) = r(e)
     with pytest.raises(NotAWitnessEdgeError):
@@ -314,3 +316,105 @@ def test_module_relations_annihilate_twisted_with_rational_elements(chained_loop
     for label, rel in relation_elements(chained_loops):
         x = m.basis_vector(_random_rational_vector(rng, m))
         assert m.act(rel, x).is_zero(), label
+
+
+# (graph, cycle edges, module prefix as (source, edges) or None)
+RATIONAL_CASES = [
+    ("cycle_with_side_loop", ("e1", "e2", "e3", "e4"), None),
+    ("cycle_with_side_loop", ("e1", "e2", "e3", "e4"), ("v3", ("g", "e3", "e4"))),
+    ("chained_loops", ("e",), None),
+    ("chained_loops", ("e",), ("u'", ("g",))),
+    ("chained_loops", ("e'",), None),
+    ("double_emitter", ("h",), None),
+    ("double_emitter", ("f",), None),
+    ("rose", ("e2",), None),
+    ("rose", ("e1",), ("v", ("e2",))),
+]
+ROSE = Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v")])
+CUBIC_UNITS = ExtensionField(LaurentPoly.parse("1 + x + x^2"))
+
+
+def _rational_case(index, twisted):
+    name, cycle, prefix = RATIONAL_CASES[index]
+    g = ROSE if name == "rose" else examples.ALL[name]()
+    c = g.path(g.edges[cycle[0]].src, cycle)
+    p = None if prefix is None else g.path(*prefix)
+    if twisted:
+        return g, cycle, TwistedRationalPathModule(g, c, CUBIC_UNITS, p)
+    return g, cycle, RationalPathModule(g, c, p)
+
+
+def _word(cycle, source, edges, rotation, n):
+    """Source and first n edges of edges . (cycle from edge ``rotation``)^inf."""
+    tail = cycle[rotation:] + cycle * (n // len(cycle) + 1)
+    return source, (edges + tail)[:n]
+
+
+def _random_spelling(rng, g, cycle, max_len=4):
+    rotation = rng.randrange(len(cycle))
+    p = random_path_into(rng, g, g.edges[cycle[rotation]].src, max_len)
+    return p.source, p.edges, rotation
+
+
+def _stripping_element(rng, g, cycle, vec):
+    """Monomials g l* whose l is a prefix of vec, up to two periods past its prefix."""
+    source, prefix, rotation = vec
+    word = _word(cycle, source, prefix, rotation, len(prefix) + 2 * len(cycle))[1]
+    raw = []
+    for _ in range(3):
+        lam = g.path(source, word[: rng.randint(0, len(word))])
+        gamma = random_path_into(rng, g, lam.end, len(cycle) + 2)
+        raw.append((PathMonomial(gamma, lam), rng.choice([-2, -1, 1, 3])))
+    return AlgebraElement.from_terms(g, raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(RATIONAL_CASES) - 1), st.integers(0, 2**32 - 1), st.booleans())
+def test_rational_action_matches_edge_walk(case, seed, twisted):
+    g, cycle, m = _rational_case(case, twisted)
+    rng = random.Random(seed)
+    for _ in range(4):
+        vec = _random_spelling(rng, g, cycle)
+        a = random_element(rng, g) + _stripping_element(rng, g, cycle, vec)
+        # compare as infinite words, read past the longest path plus two periods
+        longest = len(vec[1]) + len(cycle) + max(
+            (len(mono.gamma.edges) + len(mono.lam.edges) for mono in a.terms), default=0
+        )
+        n = longest + 2 * len(cycle)
+        image = m.act(a, m.basis_vector(m.vector_from(g.path(vec[0], vec[1]), vec[2])))
+        got = {_word(cycle, b.source, b.edges, 0, n): c for b, c in image.terms.items()}
+        assert len(got) == len(image.terms), "two basis paths name one infinite path"
+        expected = {}
+        for mono, coeff in a.terms.items():
+            hit = brute_rational_action(g, cycle, vec, mono.gamma, mono.lam, m.twisted_edge)
+            if hit is None:
+                continue
+            twist, (source, prefix, rotation) = hit
+            factor = m.field.coerce(coeff)
+            for _ in range(abs(twist)):
+                step = m.field.generator()
+                factor = factor * (step if twist > 0 else step.inverse())
+            key = _word(cycle, source, prefix, rotation, n)
+            expected[key] = expected.get(key, m.field.zero) + factor
+        assert got == {k: c for k, c in expected.items() if c}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(RATIONAL_CASES) - 1), st.integers(0, 2**32 - 1))
+def test_every_spelling_gives_one_vector(case, seed):
+    g, cycle, m = _rational_case(case, False)
+    source, prefix, rotation = _random_spelling(random.Random(seed), g, cycle)
+    n = len(prefix) + 3 * len(cycle)
+    word = _word(cycle, source, prefix, rotation, n)[1]
+    spellings = [
+        (word[:j], r)
+        for j in range(len(prefix) + 2 * len(cycle) + 1)
+        for r in range(len(cycle))
+        if _word(cycle, source, word[:j], r, n)[1] == word
+    ]
+    assert len(spellings) >= 3
+    vectors = {m.vector_from(g.path(source, p), r) for p, r in spellings}
+    assert len(vectors) == 1
+    (v,) = vectors
+    assert _word(cycle, v.source, v.edges, 0, n) == (source, word)
+    assert v.end == m.cycle.source and v.edges[-len(cycle):] != cycle

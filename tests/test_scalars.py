@@ -61,6 +61,13 @@ def test_laurent_parse_errors():
             LaurentPoly.parse(bad)
 
 
+def test_laurent_zero_denominator_is_a_parse_error():
+    for text, at in [("1/0 + x", 0), ("x - 3/0*x^2", 4), ("2x + 0/0", 5)]:
+        with pytest.raises(ParseError, match=f"zero denominator in .* at position {at}$"):
+            LaurentPoly.parse(text)
+    assert LaurentPoly.parse("0/2 + 4/2*x") == LaurentPoly({1: 2})
+
+
 def test_laurent_print_roundtrip():
     rng = random.Random(7)
     for _ in range(200):
