@@ -222,9 +222,14 @@ class AlgebraElement:
         self._check_graph(other)
         field = _join_fields(self, other)
         a, b = self.with_field(field), other.with_field(field)
+        # (g l*)(r n*) = 0 unless s(l) = s(r) (CK1): pair each left term
+        # only with the right terms whose real part starts where its ghost does
+        by_source: dict[str, list] = {}
+        for m2, c2 in b.terms.items():
+            by_source.setdefault(m2.gamma.source, []).append((m2, c2))
         raw = []
         for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
+            for m2, c2 in by_source.get(m1.lam.source, ()):
                 prod = _mono_mul(m1, m2)
                 if prod is not None:
                     raw.append((prod, c1 * c2))
@@ -288,24 +293,25 @@ class AlgebraElement:
 
 
 def _mono_mul(m1: PathMonomial, m2: PathMonomial) -> PathMonomial | None:
-    """(g l*)(r n*): concatenate through the overlap of l and r, else zero.
+    """(g l*)(r n*) for s(l) = s(r): concatenate through the overlap of l
+    and r, else zero.
 
     If r = l r' the product is (g r') n*; if l = r l'' it is g (n l'')*;
-    otherwise the ghost/real interface annihilates by (CK1).
+    otherwise the ghost/real interface annihilates by (CK1).  The caller
+    pairs only terms with s(l) = s(r), so the result paths compose and are
+    built directly.
     """
     lam, rho = m1.lam, m2.gamma
-    if lam.source != rho.source:
-        return None
     nl, nr = len(lam.edges), len(rho.edges)
     if nl <= nr:
         if rho.edges[:nl] != lam.edges:
             return None
-        rest = Path(lam.end, rho.edges[nl:], rho.end)
-        return PathMonomial(m1.gamma.concat(rest), m2.lam)
+        gamma = m1.gamma
+        return PathMonomial(Path(gamma.source, gamma.edges + rho.edges[nl:], rho.end), m2.lam)
     if lam.edges[:nr] != rho.edges:
         return None
-    rest = Path(rho.end, lam.edges[nr:], lam.end)
-    return PathMonomial(m1.gamma, m2.lam.concat(rest))
+    ghost = m2.lam
+    return PathMonomial(m1.gamma, Path(ghost.source, ghost.edges + lam.edges[nr:], lam.end))
 
 
 def invert_unipotent(t: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:

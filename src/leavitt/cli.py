@@ -214,7 +214,13 @@ def cmd_verify_free(args) -> int:
     g = _load_graph(args.graph)
     cert = certificate_for(g, args.a, args.b)
     transcript = verify_free_words(cert, max_len=args.max_len, mode=args.mode)
-    payload = {"a": str(cert.a), "b": str(cert.b), **transcript}
+    payload = {
+        "a": str(cert.a),
+        "b": str(cert.b),
+        "witness": cert.witness.to_json(),
+        "pair": cert.pair.to_json(),
+        **transcript,
+    }
 
     def render(p):
         status = "all nontrivial" if p["all_nontrivial"] else f"violation: {p['first_violation']}"

@@ -484,7 +484,7 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
             if word and _INVERSE_LETTER[word[-1]] == ch:
                 continue
             new_word = word + ch
-            new_prod = prod * elems[ch] if use_alg else None
+            new_prod = (prod * elems[ch] if word else elems[ch]) if use_alg else None
             new_mat = mat_mul(mat, gen_mats[ch]) if use_mat else None
             word_count += 1
             if use_alg and new_prod == one:

@@ -20,7 +20,9 @@ paths it sources, an edge prepends when composable, a ghost edge strips a
 leading edge (and kills length-0 paths).  A monomial g l* strips l as a
 prefix with one slice and prepends g; V_[mu] first appends whole periods so
 that l fits, then folds trailing periods back.  The action of a general
-element is the bilinear extension, evaluated term by term.
+element is the bilinear extension, evaluated term by term; a term g l*
+kills every basis path that does not start at s(l), so such pairs are
+skipped before the strip.
 
 ``invariant_pair`` returns the ordered basis (q, p) = (f . base, base) of
 the two-dimensional invariant subspace attached to a witness edge f, and
@@ -112,7 +114,10 @@ class _BaseModule:
             raise MixedGraphsError("vector belongs to a different module")
         out: dict = {}
         for mono, coeff in a.terms.items():
+            source = mono.lam.source
             for b, c in x.terms.items():
+                if b.source != source:  # g l* kills every path not starting at s(l)
+                    continue
                 hit = self._act_monomial(mono.gamma, mono.lam, b)
                 if hit is None:
                     continue
@@ -120,7 +125,8 @@ class _BaseModule:
                 add_term(out, target, coeff * c if factor is None else coeff * c * factor)
         return ModuleVector(self, out)
 
-    # subclasses: _act_monomial(gamma, lam, basis) -> (twist factor | None, basis) | None
+    # subclasses: _act_monomial(gamma, lam, basis) -> (twist factor | None, basis) | None,
+    # called only when s(lam) is the source of the basis path
 
     def describe(self, b) -> str:
         return str(b)
@@ -143,7 +149,7 @@ class _FinitePathModule(_BaseModule):
     def _act_monomial(self, gamma: Path, lam: Path, b: Path):
         # strip lam as a prefix of b, then prepend gamma; r(gamma) = r(lam)
         nl = len(lam.edges)
-        if lam.source != b.source or b.edges[:nl] != lam.edges:
+        if b.edges[:nl] != lam.edges:
             return None
         return None, Path(gamma.source, gamma.edges + b.edges[nl:], b.end)
 

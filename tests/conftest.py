@@ -249,14 +249,28 @@ def shuffled_reduction(g: Graph, items, seed) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
+def raw_terms(element: AlgebraElement) -> dict:
+    """The terms of an element as a raw combination for ``_raw_product``."""
+    return {
+        (m.gamma.source, m.gamma.edges, m.lam.source, m.lam.edges): c
+        for m, c in element.terms.items()
+    }
+
+
+def raw_monomials(g: Graph, raw: dict) -> list:
+    """(PathMonomial, coeff) pairs of a raw combination, with the common
+    range of each monomial read off the graph data."""
+    items = []
+    for (gs, ge, ls, le), c in raw.items():
+        r = _path_end(g, gs, ge)
+        items.append((PathMonomial(Path(gs, ge, r), Path(ls, le, r)), c))
+    return items
+
+
 def brute_normal_form(g: Graph, tree, seed) -> dict:
     """The basis terms of an expression tree: every product expanded on raw
     monomials first, then one shuffled reduction of the whole expansion."""
-    items = []
-    for (gs, ge, ls, le), c in _raw_expand(g, tree).items():
-        r = _path_end(g, gs, ge)
-        items.append((PathMonomial(Path(gs, ge, r), Path(ls, le, r)), c))
-    return shuffled_reduction(g, items, seed)
+    return shuffled_reduction(g, raw_monomials(g, _raw_expand(g, tree)), seed)
 
 
 # random generators (seeded by the tests that use them)
@@ -469,6 +483,28 @@ def brute_certificate_for(g: Graph, a_text: str, b_text: str):
                     if a == one + (wh * f.star()).scale(2) and b == one + (f * wh).scale(2):
                         return BreakingVertexWitness(fname, w), AdmissiblePair(g, H, S)
     return _NoWitness(), zero_ideal
+
+
+def brute_finite_action(g: Graph, b: tuple, gamma: Path, lam: Path):
+    """Act by gamma lam^* on the finite path b = (source, edges), from graph
+    data only.
+
+    lam must start at the source of b and match its first edges, which are
+    walked one at a time; gamma must then end where the rest of b starts.
+    Returns the image gamma . rest as (source, edges), or None when the
+    monomial kills b.
+    """
+    source, edges = b
+    if lam.source != source or len(lam.edges) > len(edges):
+        return None
+    at = source
+    for name, first in zip(lam.edges, edges):
+        if name != first:
+            return None
+        at = g.edges[name].dst
+    if _path_end(g, gamma.source, gamma.edges) != at:
+        return None
+    return gamma.source, gamma.edges + edges[len(lam.edges):]
 
 
 def brute_rational_action(g: Graph, cycle: tuple, vec, gamma: Path, lam: Path, twisted=None):

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    _raw_product,
     brute_normal_form,
+    random_bundle_graph,
     random_element,
     random_expr_tree,
     random_path_into,
+    raw_monomials,
+    raw_terms,
     relation_elements,
     shuffled_reduction,
     special_edge_of,
 )
-from leavitt import examples
+from leavitt import algebra, examples
 from leavitt.algebra import (
     AlgebraElement,
     PathMonomial,
@@ -28,8 +32,10 @@ from leavitt.errors import (
     NotSquareZeroError,
 )
 from leavitt.exprs import evaluate, normalize
+from leavitt.freeness import find_free_generators, verify_free_words
 from leavitt.graph import Graph, Path
 from leavitt.modules import RationalPathModule
+from leavitt.scalars import ExtensionField, LaurentPoly
 
 
 def test_ck1_annihilation(toeplitz):
@@ -120,6 +126,60 @@ def test_from_terms_matches_shuffled_worklist_on_special_tails(g, seed, count):
     got = AlgebraElement.from_terms(g, raw).terms
     assert got == shuffled_reduction(g, raw, seed)
     assert got == shuffled_reduction(g, raw, seed + 1)
+
+
+CUBIC_UNITS = ExtensionField(LaurentPoly.parse("1 + x + x^2"))
+
+
+def _random_cubic_unit(rng):
+    x = CUBIC_UNITS.generator()
+    return x * rng.choice([-2, -1, 1, 3]) + rng.choice([-1, 1, 2])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, len(ROSES_AND_FIXTURES) + 9),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["rational", "left", "both"]),
+)
+def test_product_matches_raw_expansion(index, seed, extension):
+    # every term pair is multiplied by the graph-data oracle, nothing is
+    # skipped, and the whole raw product is reduced once in a shuffled order
+    rng = random.Random(seed)
+    if index < len(ROSES_AND_FIXTURES):
+        g = ROSES_AND_FIXTURES[index]
+    else:
+        g = random_bundle_graph(rng)
+    x, y = random_element(rng, g), random_element(rng, g)
+    if extension != "rational":
+        x = x.scale(_random_cubic_unit(rng))
+    if extension == "both":
+        y = y.scale(_random_cubic_unit(rng))
+    raw = raw_monomials(g, _raw_product(raw_terms(x), raw_terms(y)))
+    assert (x * y).terms == shuffled_reduction(g, raw, seed)
+
+
+def test_products_try_only_composable_pairs(monkeypatch):
+    # (g l*)(r n*) = 0 unless s(l) = s(r): over every reduced word of length
+    # <= 3 of the example certificates, _mono_mul only sees pairs with
+    # matching sources and at most 3 of them per nonzero product
+    certs = [c for name in sorted(examples.ALL) for c in find_free_generators(examples.ALL[name]())]
+    assert len(certs) == 17
+    seen = {"tried": 0, "nonzero": 0, "mismatched": 0}
+    mono_mul = algebra._mono_mul
+
+    def counting(m1, m2):
+        seen["tried"] += 1
+        seen["mismatched"] += m1.lam.source != m2.gamma.source
+        prod = mono_mul(m1, m2)
+        seen["nonzero"] += prod is not None
+        return prod
+
+    monkeypatch.setattr(algebra, "_mono_mul", counting)
+    for cert in certs:
+        assert verify_free_words(cert, 3, "both")["all_nontrivial"]
+    assert seen["mismatched"] == 0, seen
+    assert seen["nonzero"] > 0 and seen["tried"] <= 3 * seen["nonzero"], seen
 
 
 def test_star_is_written_down_directly(any_graph, monkeypatch):

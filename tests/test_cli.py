@@ -147,6 +147,35 @@ def test_verify_free_swapped_pair_in_default_mode(graph_file, capsys):
     assert data["mode"] == "both" and data["word_count"] == 52 and data["all_nontrivial"]
 
 
+def test_verify_free_json_names_witness_and_pair(graph_file, capsys):
+    path = graph_file(examples.cycle_with_side_loop())
+    code, out, _ = run(
+        capsys, "verify-free", path, "--a", "1 + 2*e1^*", "--b", "1 + 2*e1", "--max-len", "3", "--json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["witness"] == {
+        "kind": "infinite_path_edge",
+        "edge": "e1",
+        "tail": {"source": "v2", "prefix": [], "cycle": ["e2", "e3", "e4", "e1"]},
+    }
+    assert data["pair"] == {"H": [], "S": []}
+    assert data["all_nontrivial"] and data["word_count"] == 52
+
+    # (f e*)^2 = 0 by (CK1), but no witness shape matches: algebra mode only
+    path = graph_file(examples.toeplitz())
+    code, out, _ = run(
+        capsys, "verify-free", path, "--a", "1+2*e*f^*", "--b", "1+2*f*e^*",
+        "--max-len", "3", "--mode", "algebra", "--json",
+    )
+    data = json.loads(out)
+    assert data["witness"] == {"kind": "none"} and data["pair"] == {"H": [], "S": []}
+    assert "witness" not in run(
+        capsys, "verify-free", path, "--a", "1+2*e*f^*", "--b", "1+2*f*e^*",
+        "--max-len", "3", "--mode", "algebra",
+    )[1]
+
+
 def test_exit_code_domain_error(graph_file, capsys):
     path = graph_file(examples.toeplitz())
     # {u} is not hereditary: domain error, exit 1

@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_rational_action, random_element, random_path_into, relation_elements
+from conftest import (
+    brute_finite_action,
+    brute_rational_action,
+    random_bundle_graph,
+    random_element,
+    random_monomial_element,
+    random_path_into,
+    relation_elements,
+)
 from leavitt import examples
 from leavitt.algebra import AlgebraElement, PathMonomial
 from leavitt.errors import (
@@ -15,7 +23,7 @@ from leavitt.errors import (
     NotInvariantError,
 )
 from leavitt.exprs import normalize
-from leavitt.graph import Graph
+from leavitt.graph import INFINITE_EMITTER, SINK, Graph
 from leavitt.modules import (
     InfiniteEmitterModule,
     RationalPathModule,
@@ -418,3 +426,44 @@ def test_every_spelling_gives_one_vector(case, seed):
     (v,) = vectors
     assert _word(cycle, v.source, v.edges, 0, n) == (source, word)
     assert v.end == m.cycle.source and v.edges[-len(cycle):] != cycle
+
+
+FINITE_GRAPHS = [examples.ALL[name]() for name in sorted(examples.ALL)] + [
+    random_bundle_graph(random.Random(seed)) for seed in range(12)
+]
+FINITE_CASES = [
+    (g, v, SinkModule if g.vertex_kind(v) == SINK else InfiniteEmitterModule)
+    for g in FINITE_GRAPHS
+    for v in g.vertices
+    if g.vertex_kind(v) in (SINK, INFINITE_EMITTER)
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, len(FINITE_CASES) - 1), st.integers(0, 2**32 - 1))
+def test_finite_action_matches_prefix_walk(case, seed):
+    # vectors with basis paths from several sources, acted on by elements
+    # whose ghosts start at every vertex, and by monomials that strip a
+    # prefix of one of the paths
+    g, terminal, kind = FINITE_CASES[case]
+    m = kind(g, terminal)
+    rng = random.Random(seed)
+    for _ in range(4):
+        paths = [random_path_into(rng, g, terminal, 4) for _ in range(rng.randint(1, 3))]
+        x = m.vector({p: rng.choice([-2, -1, 1, 3]) for p in paths})
+        raw = []
+        for _ in range(3):
+            b = rng.choice(paths)
+            lam = g.path(b.source, b.edges[: rng.randint(0, len(b.edges))])
+            raw.append((PathMonomial(random_path_into(rng, g, lam.end, 3), lam), rng.choice([-1, 1, 2])))
+        a = random_element(rng, g) + random_monomial_element(rng, g) + AlgebraElement.from_terms(g, raw)
+        image = m.act(a, x)
+        expected = {}
+        for mono, coeff in a.terms.items():
+            for b, c in x.terms.items():
+                hit = brute_finite_action(g, (b.source, b.edges), mono.gamma, mono.lam)
+                if hit is not None:
+                    expected[hit] = expected.get(hit, 0) + coeff * c
+        assert {(b.source, b.edges): c for b, c in image.terms.items()} == {
+            k: c for k, c in expected.items() if c
+        }
