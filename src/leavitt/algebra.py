@@ -89,15 +89,14 @@ def _normalize_terms(g: Graph, items) -> dict:
             v = g.edges[d].src
             if not g.is_regular(v) or g.special_edge(v) != d:
                 break
-            gamma = Path(gamma.source, gamma.edges[:-1], v)
-            lam = Path(lam.source, lam.edges[:-1], v)
+            gamma = Path(gamma.source, gamma.edges[:-1])
+            lam = Path(lam.source, lam.edges[:-1])
             mono = PathMonomial(gamma, lam)
             for name in g.out_edges(v):
                 if name != d:
-                    end = g.edges[name].dst
                     sibling = PathMonomial(
-                        Path(gamma.source, gamma.edges + (name,), end),
-                        Path(lam.source, lam.edges + (name,), end),
+                        Path(gamma.source, gamma.edges + (name,)),
+                        Path(lam.source, lam.edges + (name,)),
                     )
                     add_term(out, sibling, -coeff)
         add_term(out, mono, coeff)
@@ -146,12 +145,12 @@ class AlgebraElement:
     @classmethod
     def edge(cls, g: Graph, name: str, field=QQ) -> "AlgebraElement":
         p = g.edge_path(name)
-        return cls(g, field, {PathMonomial(p, g.trivial_path(p.end)): field.one})
+        return cls(g, field, {PathMonomial(p, g.trivial_path(g.range_of(p))): field.one})
 
     @classmethod
     def ghost(cls, g: Graph, name: str, field=QQ) -> "AlgebraElement":
         p = g.edge_path(name)
-        return cls(g, field, {PathMonomial(g.trivial_path(p.end), p): field.one})
+        return cls(g, field, {PathMonomial(g.trivial_path(g.range_of(p)), p): field.one})
 
     @classmethod
     def one(cls, g: Graph, field=QQ) -> "AlgebraElement":
@@ -307,11 +306,11 @@ def _mono_mul(m1: PathMonomial, m2: PathMonomial) -> PathMonomial | None:
         if rho.edges[:nl] != lam.edges:
             return None
         gamma = m1.gamma
-        return PathMonomial(Path(gamma.source, gamma.edges + rho.edges[nl:], rho.end), m2.lam)
+        return PathMonomial(Path(gamma.source, gamma.edges + rho.edges[nl:]), m2.lam)
     if lam.edges[:nr] != rho.edges:
         return None
     ghost = m2.lam
-    return PathMonomial(m1.gamma, Path(ghost.source, ghost.edges + lam.edges[nr:], lam.end))
+    return PathMonomial(m1.gamma, Path(ghost.source, ghost.edges + lam.edges[nr:]))
 
 
 def invert_unipotent(t: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:

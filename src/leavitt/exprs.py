@@ -178,8 +178,15 @@ class _Parser:
 
 
 def parse_expr(g: Graph, text: str):
-    """Parse and resolve an expression over the graph into a tree."""
-    return _Parser(g, text).parse()
+    """Parse and resolve an expression over the graph into a tree.
+
+    The parser recurses once per parenthesis or prefix minus, so input that
+    nests past the interpreter's recursion limit is a :class:`ParseError`.
+    """
+    try:
+        return _Parser(g, text).parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply") from None
 
 
 def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
@@ -189,7 +196,8 @@ def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
     term dict, so reading back a printed normal form of n terms is linear
     in n rather than copying the partial sum at every node.  Such chains
     and chains of products are walked in a loop, so only parentheses nest
-    the recursion.
+    the recursion; a tree nested past the recursion limit is a
+    :class:`ParseError`.
     """
 
     def walk(node) -> AlgebraElement:
@@ -231,7 +239,10 @@ def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
                     add_term(terms, m, -c if negate else c)
         return AlgebraElement(g, field, terms)
 
-    return walk(tree)
+    try:
+        return walk(tree)
+    except RecursionError:
+        raise ParseError("expression nests too deeply") from None
 
 
 def normalize(g: Graph, source, field=QQ) -> AlgebraElement:

@@ -441,7 +441,7 @@ def _matrix_context(cert: FreePairCertificate):
         basis = invariant_pair(module, clones[w.edge])
     elif isinstance(w, InfinitePathEdgeWitness):
         prefix = q.path(w.tail_source, w.tail_prefix)
-        cycle = q.path(prefix.end, w.tail_cycle)
+        cycle = q.path(q.range_of(prefix), w.tail_cycle)
         module = RationalPathModule(q, cycle, prefix, cert.a.field)
         basis = invariant_pair(module, w.edge)
     else:

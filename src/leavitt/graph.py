@@ -47,23 +47,14 @@ class Path(NamedTuple):
     """A finite path: source vertex plus a composable edge-name sequence.
 
     The empty sequence is the length-0 path at ``source``.  Validity against
-    a graph is checked by :meth:`Graph.path`; once built, composition only
-    needs the stored endpoints.  A named tuple, so hashing and equality (on
+    a graph is checked by :meth:`Graph.path`, and the range r(p) is read off
+    the graph by :meth:`Graph.range_of`: the range of the last edge, or the
+    source of a trivial path.  A named tuple, so hashing and equality (on
     every dict lookup of a monomial) run in C.
     """
 
     source: str
     edges: tuple[str, ...]
-    end: str
-
-    @property
-    def is_vertex(self) -> bool:
-        return not self.edges
-
-    def concat(self, other: "Path") -> "Path":
-        if self.end != other.source:
-            raise GraphError(f"paths do not compose: {self} then {other}")
-        return Path(self.source, self.edges + other.edges, other.end)
 
     def sort_key(self):
         return (len(self.edges), self.edges, self.source)
@@ -188,7 +179,7 @@ class Graph:
     # paths
 
     def trivial_path(self, v: str) -> Path:
-        return Path(self.require_vertex(v), (), v)
+        return Path(self.require_vertex(v), ())
 
     def path(self, source: str, edge_names: Sequence[str]) -> Path:
         cur = self.require_vertex(source)
@@ -197,11 +188,14 @@ class Graph:
             if e.src != cur:
                 raise GraphError(f"edge {name!r} does not start at {cur!r}")
             cur = e.dst
-        return Path(source, tuple(edge_names), cur)
+        return Path(source, tuple(edge_names))
 
     def edge_path(self, name: str) -> Path:
-        e = self.require_edge(name)
-        return Path(e.src, (name,), e.dst)
+        return Path(self.require_edge(name).src, (name,))
+
+    def range_of(self, p: Path) -> str:
+        """r(p): the range of the last edge, or the source of a trivial path."""
+        return self.edges[p.edges[-1]].dst if p.edges else p.source
 
     def path_vertices(self, p: Path) -> frozenset[str]:
         verts = {self.require_vertex(p.source)}
@@ -336,7 +330,7 @@ class Graph:
             for name in self._out[cur]:
                 dst = self.edges[name].dst
                 if dst == base:
-                    reps.append(Path(base, tuple(trail + [name]), base))
+                    reps.append(Path(base, tuple(trail + [name])))
                 elif dst not in visited and order[dst] > order[base]:
                     visited.add(dst)
                     walk(base, dst, trail + [name], visited)
@@ -365,11 +359,11 @@ class Graph:
 
     def is_cycle(self, p: Path) -> bool:
         """Closed path of positive length with pairwise-distinct sources."""
-        if not p.edges or p.source != p.end:
-            return False
         try:
             self.path(p.source, p.edges)
         except (GraphError, UnknownEdgeError):
+            return False
+        if not p.edges or p.source != self.range_of(p):
             return False
         sources = [self.edges[name].src for name in p.edges]
         return len(set(sources)) == len(sources)
@@ -554,4 +548,6 @@ def parse_graph(text: str | bytes) -> Graph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise SchemaError("invalid JSON: arrays or objects nest too deeply") from None
     return graph_from_json(data)

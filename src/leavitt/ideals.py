@@ -142,8 +142,10 @@ class AdmissiblePair:
         q = self.quotient_graph()  # raises NotAdmissibleError for the improper ideal
         H, clones = self.H, self.clones
         raw = []
+        edges = self.graph.edges
         for mono, coeff in a.terms.items():
-            end = mono.gamma.end
+            gamma = mono.gamma  # r(g l*) = r(g), read inline: this loop runs per term
+            end = edges[gamma.edges[-1]].dst if gamma.edges else gamma.source
             if end in H:
                 continue
             raw.append((mono, coeff))
@@ -185,8 +187,8 @@ def _primed(p: Path, clones: dict[str, str], head: str) -> Path:
     """p with its last edge cloned, ending at ``head``; the trivial path at
     ``head`` when p is trivial."""
     if not p.edges:
-        return Path(head, (), head)
-    return Path(p.source, p.edges[:-1] + (clones[p.edges[-1]],), head)
+        return Path(head, ())
+    return Path(p.source, p.edges[:-1] + (clones[p.edges[-1]],))
 
 
 def breaking_vertex_element(g: Graph, H, w: str, field=QQ) -> AlgebraElement:
@@ -223,7 +225,7 @@ def poly_at_cycle(g: Graph, cycle: Path, poly: LaurentPoly, field=QQ) -> Algebra
     base = g.trivial_path(cycle.source)
     terms = {}
     for exp, coeff in poly.items():
-        power = Path(base.source, cycle.edges * abs(exp), base.end)
+        power = Path(base.source, cycle.edges * abs(exp))
         mono = PathMonomial(power, base) if exp >= 0 else PathMonomial(base, power)
         terms[mono] = field.coerce(coeff)
     return AlgebraElement(g, field, terms)

@@ -142,7 +142,7 @@ class _FinitePathModule(_BaseModule):
 
     def basis_path(self, source: str, edges=()) -> Path:
         p = self.graph.path(source, tuple(edges))
-        if p.end != self.terminal:
+        if self.graph.range_of(p) != self.terminal:
             raise GraphError(f"path {p} does not end at {self.terminal!r}")
         return p
 
@@ -151,7 +151,7 @@ class _FinitePathModule(_BaseModule):
         nl = len(lam.edges)
         if b.edges[:nl] != lam.edges:
             return None
-        return None, Path(gamma.source, gamma.edges + b.edges[nl:], b.end)
+        return None, Path(gamma.source, gamma.edges + b.edges[nl:])
 
 
 class SinkModule(_FinitePathModule):
@@ -191,7 +191,7 @@ class RationalPathModule(_FinitePathModule):
         if prefix is None:
             prefix = graph.trivial_path(cycle.source)
         self.prefix = graph.path(prefix.source, prefix.edges)
-        if self.prefix.end != cycle.source:
+        if graph.range_of(self.prefix) != cycle.source:
             raise GraphError(f"prefix {prefix} does not flow into the cycle base")
         self.base = self.vector_from(self.prefix, 0)
 
@@ -204,7 +204,7 @@ class RationalPathModule(_FinitePathModule):
         edges = p.edges
         while edges[-len(c):] == c:
             edges = edges[: -len(c)]
-        return p if edges is p.edges else Path(p.source, edges, p.end)
+        return p if edges is p.edges else Path(p.source, edges)
 
     def basis_path(self, source: str, edges=()) -> Path:
         return self._fold(super().basis_path(source, edges))
@@ -212,16 +212,16 @@ class RationalPathModule(_FinitePathModule):
     def vector_from(self, prefix: Path, rotation: int) -> Path:
         """The basis path of prefix . (cycle from edge ``rotation``)^inf."""
         rotation %= len(self.cycle.edges)
-        if prefix.end != self.rotation_source(rotation):
+        if self.graph.range_of(self.graph.path(*prefix)) != self.rotation_source(rotation):
             raise GraphError(f"prefix {prefix} does not flow into rotation {rotation}")
         tail = self.cycle.edges[rotation:]
-        return self._fold(Path(prefix.source, prefix.edges + tail, self.terminal))
+        return self._fold(Path(prefix.source, prefix.edges + tail))
 
     def _act_monomial(self, gamma: Path, lam: Path, b: Path):
         c = self.cycle.edges
         short = len(lam.edges) - len(b.edges)
         if short > 0:  # append whole periods until lam fits
-            b = Path(b.source, b.edges + c * -(-short // len(c)), b.end)
+            b = Path(b.source, b.edges + c * -(-short // len(c)))
         hit = super()._act_monomial(gamma, lam, b)
         if hit is None:
             return None

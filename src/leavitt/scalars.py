@@ -131,31 +131,6 @@ class LaurentPoly:
         """Multiply by x^k."""
         return LaurentPoly({e + k: v for e, v in self._c.items()})
 
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, Fraction(0)) + v
-        return LaurentPoly(c)
-
-    def __neg__(self):
-        return LaurentPoly({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c: dict[int, Fraction] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                c[e1 + e2] = c.get(e1 + e2, Fraction(0)) + v1 * v2
-        return LaurentPoly(c)
-
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self._c == other._c
 
@@ -180,17 +155,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({str(self)!r})"
-
-    def eval_at(self, value):
-        """Evaluate at an invertible scalar (negative exponents use the inverse)."""
-        total = None
-        for exp, coeff in self.items():
-            if exp >= 0:
-                term = coeff * _power(value, exp)
-            else:
-                term = coeff * _power(inv(value), -exp)
-            total = term if total is None else total + term
-        return total if total is not None else Fraction(0)
 
 
 def _power(value, n: int):

@@ -238,13 +238,13 @@ def shuffled_reduction(g: Graph, items, seed) -> dict:
         if d is None or lam.edges[-1:] != (d,) or special_edge_of(g, v) != d:
             out[mono] = out.get(mono, 0) + coeff
             continue
-        a = Path(gam.source, gam.edges[:-1], v)
-        b = Path(lam.source, lam.edges[:-1], v)
+        a = Path(gam.source, gam.edges[:-1])
+        b = Path(lam.source, lam.edges[:-1])
         work.append((PathMonomial(a, b), coeff))
         for name, e in g.edges.items():
             if e.src == v and name != d:
-                a_e = Path(a.source, a.edges + (name,), e.dst)
-                b_e = Path(b.source, b.edges + (name,), e.dst)
+                a_e = Path(a.source, a.edges + (name,))
+                b_e = Path(b.source, b.edges + (name,))
                 work.append((PathMonomial(a_e, b_e), -coeff))
     return {m: c for m, c in out.items() if c}
 
@@ -257,20 +257,15 @@ def raw_terms(element: AlgebraElement) -> dict:
     }
 
 
-def raw_monomials(g: Graph, raw: dict) -> list:
-    """(PathMonomial, coeff) pairs of a raw combination, with the common
-    range of each monomial read off the graph data."""
-    items = []
-    for (gs, ge, ls, le), c in raw.items():
-        r = _path_end(g, gs, ge)
-        items.append((PathMonomial(Path(gs, ge, r), Path(ls, le, r)), c))
-    return items
+def raw_monomials(raw: dict) -> list:
+    """(PathMonomial, coeff) pairs of a raw combination."""
+    return [(PathMonomial(Path(gs, ge), Path(ls, le)), c) for (gs, ge, ls, le), c in raw.items()]
 
 
 def brute_normal_form(g: Graph, tree, seed) -> dict:
     """The basis terms of an expression tree: every product expanded on raw
     monomials first, then one shuffled reduction of the whole expansion."""
-    return shuffled_reduction(g, raw_monomials(g, _raw_expand(g, tree)), seed)
+    return shuffled_reduction(g, raw_monomials(_raw_expand(g, tree)), seed)
 
 
 # random generators (seeded by the tests that use them)
@@ -368,7 +363,7 @@ def random_path_into(rng, g: Graph, r: str, max_len: int = 2):
             break
         name = rng.choice(ins)
         edges, src = (name,) + edges, g.edges[name].src
-    return Path(src, edges, r)
+    return Path(src, edges)
 
 
 def random_monomial_element(rng, g: Graph, per_vertex: int = 2) -> AlgebraElement:
@@ -531,7 +526,7 @@ def brute_rational_action(g: Graph, cycle: tuple, vec, gamma: Path, lam: Path, t
             rot = (rot + 1) % len(cycle)
         source = g.edges[name].dst
         twist -= name == twisted
-    if gamma.end != source:
+    if _path_end(g, gamma.source, gamma.edges) != source:
         return None
     twist += sum(name == twisted for name in gamma.edges)
     return twist, (gamma.source, gamma.edges + prefix, rot)

@@ -328,3 +328,23 @@ def test_zero_denominator_is_a_parse_error(graph_file, capsys):
         assert code == 2 and err == ""
         error = json.loads(out)["error"]
         assert error == {"type": "ParseError", "message": message, "transcript": None}
+
+
+def test_deep_nesting_is_a_parse_error(graph_file, capsys, tmp_path):
+    # nesting past the recursion limit is bad input, not a crash
+    path = graph_file(examples.toeplitz())
+    parens = "(" * 400 + "u" + ")" * 400
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    cases = [
+        (["normalize", path, parens], "ParseError", "expression nests too deeply"),
+        (["normalize", path, "--", "-" * 3000 + "u"], "ParseError", "expression nests too deeply"),
+        (["verify-free", path, "--a", parens, "--b", "1+2*f"], "ParseError", "expression nests too deeply"),
+        (["validate", str(deep)], "SchemaError", "invalid JSON: arrays or objects nest too deeply"),
+    ]
+    for argv, kind, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run(capsys, argv[0], "--json", *argv[1:])
+        assert code == 2 and err == ""
+        assert json.loads(out)["error"] == {"type": kind, "message": message, "transcript": None}

@@ -4,8 +4,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_admissible, brute_cycles, brute_hs_closure, brute_reaching
+from conftest import (
+    _path_end,
+    _raw_product,
+    brute_admissible,
+    brute_cycles,
+    brute_hs_closure,
+    brute_reaching,
+    random_bundle_graph,
+    random_element,
+    random_monomial_element,
+    random_path_into,
+    raw_monomials,
+    raw_terms,
+)
 from leavitt import examples
+from leavitt.algebra import AlgebraElement
 from leavitt.errors import (
     BundleLoopError,
     DanglingEndpointError,
@@ -17,8 +31,13 @@ from leavitt.errors import (
     UnknownVertexError,
 )
 from leavitt.freeness import find_free_generators
+from leavitt.ideals import enumerate_admissible
+from leavitt.modules import InfiniteEmitterModule, RationalPathModule, SinkModule
 from leavitt.graph import (
+    INFINITE_EMITTER,
+    SINK,
     Graph,
+    Path,
     clone_names,
     graph_from_json,
     graph_to_json,
@@ -337,3 +356,43 @@ def test_hs_closure_random_graphs(n_extra, data):
     closure = g.hereditary_saturated_closure(seed)
     assert g.is_hereditary_saturated(closure)
     assert closure == brute_hs_closure(g, set(seed))
+
+
+def _checked_range(g: Graph, p: Path) -> str:
+    """The range of p by the graph data, after Graph.path has accepted it."""
+    assert g.path(p.source, p.edges) == p
+    return _path_end(g, p.source, p.edges)
+
+
+def _assert_path_pairs(g: Graph, element: AlgebraElement):
+    assert element.graph is g
+    for gamma, lam in element.terms:
+        assert _checked_range(g, gamma) == _checked_range(g, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_produced_terms_are_path_pairs_of_their_graph(seed):
+    # a path is (source, edges); whatever builds one must build a path of
+    # the graph it lives on, and a monomial's two paths must share a range
+    assert Path._fields == ("source", "edges")
+    rng = random.Random(seed)
+    g = random_bundle_graph(rng)
+    x = random_element(rng, g) + random_monomial_element(rng, g)
+    y = random_monomial_element(rng, g) * random_element(rng, g)
+    for element in (x.mul(y), y.mul(x), x.star().mul(x)):
+        _assert_path_pairs(g, element)
+    _assert_path_pairs(g, AlgebraElement.from_terms(g, raw_monomials(_raw_product(raw_terms(x), raw_terms(y)))))
+    proper = [pair for pair in enumerate_admissible(g) if pair.complement]
+    for pair in rng.sample(proper, min(3, len(proper))):
+        _assert_path_pairs(pair.quotient_graph(), pair.phi(x.mul(y)))
+    modules = [(RationalPathModule(g, c.rep), c.rep.source) for c in g.cycle_report().cycles]
+    for v in g.vertices:
+        kind = g.vertex_kind(v)
+        if kind in (SINK, INFINITE_EMITTER):
+            modules.append(((SinkModule if kind == SINK else InfiniteEmitterModule)(g, v), v))
+    for m, terminal in modules:
+        paths = [random_path_into(rng, g, terminal, 4) for _ in range(3)]
+        vec = m.vector({m.basis_path(p.source, p.edges): 1 for p in paths})
+        for b in m.act(x, vec).terms:
+            assert _checked_range(g, b) == terminal

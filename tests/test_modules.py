@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    _path_end,
     brute_finite_action,
     brute_rational_action,
     random_bundle_graph,
@@ -23,7 +24,7 @@ from leavitt.errors import (
     NotInvariantError,
 )
 from leavitt.exprs import normalize
-from leavitt.graph import INFINITE_EMITTER, SINK, Graph
+from leavitt.graph import INFINITE_EMITTER, SINK, Graph, Path
 from leavitt.modules import (
     InfiniteEmitterModule,
     RationalPathModule,
@@ -124,6 +125,10 @@ def test_rational_canonical_form(cycle_with_side_loop):
     # e4 . c^inf is spelled by the prefix e4 or by rotation 3; both give e4
     v = m.vector_from(g.path("v4", ["e4"]), 0)
     assert v == g.path("v4", ["e4"]) == m.vector_from(g.trivial_path("v4"), 3)
+    # a path is checked against the graph before its range is read
+    for bad in (Path("v4", ("zz",)), Path("v4", ("e1",)), Path("v4", ("e4", "e2"))):
+        with pytest.raises(GraphError):
+            m.vector_from(bad, 0)
     # acting by c* then c fixes every basis vector that starts with the
     # period c (c* annihilates the others)
     ce = AlgebraElement.one(g)
@@ -371,7 +376,7 @@ def _stripping_element(rng, g, cycle, vec):
     raw = []
     for _ in range(3):
         lam = g.path(source, word[: rng.randint(0, len(word))])
-        gamma = random_path_into(rng, g, lam.end, len(cycle) + 2)
+        gamma = random_path_into(rng, g, _path_end(g, lam.source, lam.edges), len(cycle) + 2)
         raw.append((PathMonomial(gamma, lam), rng.choice([-2, -1, 1, 3])))
     return AlgebraElement.from_terms(g, raw)
 
@@ -425,7 +430,7 @@ def test_every_spelling_gives_one_vector(case, seed):
     assert len(vectors) == 1
     (v,) = vectors
     assert _word(cycle, v.source, v.edges, 0, n) == (source, word)
-    assert v.end == m.cycle.source and v.edges[-len(cycle):] != cycle
+    assert _path_end(g, v.source, v.edges) == m.cycle.source and v.edges[-len(cycle):] != cycle
 
 
 FINITE_GRAPHS = [examples.ALL[name]() for name in sorted(examples.ALL)] + [
@@ -455,7 +460,8 @@ def test_finite_action_matches_prefix_walk(case, seed):
         for _ in range(3):
             b = rng.choice(paths)
             lam = g.path(b.source, b.edges[: rng.randint(0, len(b.edges))])
-            raw.append((PathMonomial(random_path_into(rng, g, lam.end, 3), lam), rng.choice([-1, 1, 2])))
+            r = _path_end(g, lam.source, lam.edges)
+            raw.append((PathMonomial(random_path_into(rng, g, r, 3), lam), rng.choice([-1, 1, 2])))
         a = random_element(rng, g) + random_monomial_element(rng, g) + AlgebraElement.from_terms(g, raw)
         image = m.act(a, x)
         expected = {}
