@@ -143,25 +143,30 @@ class _Parser:
         return node
 
     def factor(self):
+        # a run of prefix minus signs is counted in a loop, not recursed into
+        signs = 0
+        while self.peek()[0] == "-":
+            self.take()
+            signs += 1
         kind, val, at = self.peek()
         if kind == "rat":
             self.take()
-            return Lit(rational_literal(val.replace(" ", ""), at))
-        if kind == "-":
-            self.take()
-            return Neg(self.factor())
-        if kind == "(":
+            node = Lit(rational_literal(val.replace(" ", ""), at))
+        elif kind == "(":
             self.take()
             node = self.expr()
             self.take(")")
-            return node
-        if kind == "ident":
+        elif kind == "ident":
             self.take()
             ghost = self.peek()[0] == "ghost"
             if ghost:
                 self.take()
-            return self.resolve(val, ghost, at)
-        raise ParseError(f"expected a factor at position {at}, found {val or 'end of input'!r}")
+            node = self.resolve(val, ghost, at)
+        else:
+            raise ParseError(f"expected a factor at position {at}, found {val or 'end of input'!r}")
+        for _ in range(signs):
+            node = Neg(node)
+        return node
 
     def resolve(self, name: str, ghost: bool, at: int):
         if name in self.g.edges:
@@ -180,8 +185,9 @@ class _Parser:
 def parse_expr(g: Graph, text: str):
     """Parse and resolve an expression over the graph into a tree.
 
-    The parser recurses once per parenthesis or prefix minus, so input that
-    nests past the interpreter's recursion limit is a :class:`ParseError`.
+    The parser recurses once per parenthesis (a run of prefix minus signs
+    is read in a loop), so input that nests past the interpreter's
+    recursion limit is a :class:`ParseError`.
     """
     try:
         return _Parser(g, text).parse()

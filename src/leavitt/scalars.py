@@ -5,14 +5,19 @@ Two kinds of scalars circulate in the package:
 * plain rationals: an ``int`` when the value is integral, else a stdlib
   ``fractions.Fraction`` (reduced, positive denominator), and
 * :class:`ExtensionScalar` residues in K' = Q[x, x^-1] / (f(x)) for a
-  Laurent polynomial f with nonzero constant term.
+  Laurent polynomial f with nonzero constant term: a tuple of exactly
+  d = deg(f) plain rationals, the coefficients of 1, x, ..., x^(d-1).
 
 Because the constant term of f is a unit, x is invertible mod f, so a
 Laurent modulus can be normalized to an ordinary polynomial by clearing
-negative exponents before quotienting.  Irreducibility of f is verified up
-to degree 3 by the rational root test; higher degrees are trusted with a
-warning (an actually-reducible modulus degrades K' to a ring, but every
-identity computed here remains well defined).
+negative exponents before quotienting.  Products are reduced by one fold
+with the rule x^d = sum of r_i x^i (r_i = -f_i / f_d); inverses solve a
+d x d linear system.  Irreducibility of f is verified up to degree 3
+(degree 2 by its discriminant, degree 3 by the rational root test); higher
+degrees are trusted with a warning (an actually-reducible modulus degrades
+K' to a ring, but every identity computed here remains well defined).
+
+:class:`LaurentPoly` holds a parsed modulus and prints residues.
 
 Mixed arithmetic embeds rationals into the extension; combining residues
 of two *different* extensions raises :class:`~leavitt.errors.FieldMismatchError`.
@@ -23,7 +28,7 @@ from __future__ import annotations
 import re
 import warnings
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -62,16 +67,8 @@ class LaurentPoly:
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        c: dict[int, Fraction] = {}
-        for exp, val in items:
-            val = Fraction(val)
-            if val:
-                c[int(exp)] = c.get(int(exp), Fraction(0)) + val
-                if not c[int(exp)]:
-                    del c[int(exp)]
-        self._c = c
+    def __init__(self, coeffs: Mapping[int, Fraction | int]):
+        self._c = {int(exp): Fraction(val) for exp, val in coeffs.items() if val}
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
@@ -166,54 +163,12 @@ def _power(value, n: int):
     return result
 
 
-# dense polynomial helpers over Q, little-endian coefficient lists
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-def _pdeg(p: list[Fraction]) -> int:
-    return len(p) - 1
-
-def _padd(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, v in enumerate(p):
-        out[i] += v
-    for i, v in enumerate(q):
-        out[i] += v
-    return _trim(out)
-
-def _pscale(p, k: Fraction):
-    return _trim([v * k for v in p])
-
-def _pmul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
-
-def _pdivmod(num, den):
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    while num and len(num) >= len(den):
-        k = num[-1] / lead
-        shift = len(num) - len(den)
-        q[shift] = k
-        for i, b in enumerate(den):
-            num[shift + i] -= k * b
-        _trim(num)
-    return _trim(q), num
-
-
 def _rational_root_exists(coeffs: list[Fraction]) -> bool:
-    """True iff the polynomial has a root in Q (degree >= 1, nonzero coeffs)."""
+    """True iff the polynomial has a root in Q (degree >= 1, nonzero coeffs).
+
+    A quadratic a0 + a1 x + a2 x^2 has one iff its discriminant is a square;
+    higher degrees try every candidate p/q of the rational root test.
+    """
     denlcm = 1
     for c in coeffs:
         denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
@@ -221,6 +176,9 @@ def _rational_root_exists(coeffs: list[Fraction]) -> bool:
     a0, an = ints[0], ints[-1]
     if a0 == 0:
         return True
+    if len(ints) == 3:
+        disc = ints[1] ** 2 - 4 * a0 * an
+        return disc >= 0 and isqrt(disc) ** 2 == disc
     for p in _divisors(abs(a0)):
         for q in _divisors(abs(an)):
             for cand in (Fraction(p, q), Fraction(-p, q)):
@@ -297,11 +255,12 @@ class ExtensionField:
         if modulus.max_exp < 1:
             raise DegreeZeroError(f"modulus {modulus} is constant")
         self.modulus = modulus
-        self.degree = modulus.max_exp
-        self._dense = [modulus[i] for i in range(self.degree + 1)]
-        if self.degree <= 3:
+        self.degree = d = modulus.max_exp
+        # the reduction rule x^d = sum of r_i x^i over i < d
+        self._rule = tuple(QQ.coerce(-modulus[i] / modulus[d]) for i in range(d))
+        if d <= 3:
             # degree 1 is always irreducible; 2 and 3 exactly when rootless
-            if self.degree >= 2 and _rational_root_exists(self._dense):
+            if d >= 2 and _rational_root_exists([modulus[i] for i in range(d + 1)]):
                 raise ReduciblePolynomialError(f"modulus {modulus} has a rational root")
             self.irreducible_verified = True
         else:
@@ -314,11 +273,11 @@ class ExtensionField:
 
     @property
     def zero(self) -> "ExtensionScalar":
-        return ExtensionScalar(self, ())
+        return ExtensionScalar(self, (0,) * self.degree)
 
     @property
     def one(self) -> "ExtensionScalar":
-        return ExtensionScalar(self, (Fraction(1),))
+        return self.coerce(1)
 
     def coerce(self, value) -> "ExtensionScalar":
         if isinstance(value, ExtensionScalar):
@@ -327,20 +286,27 @@ class ExtensionField:
                     f"residue mod {value.field.modulus} used in extension mod {self.modulus}"
                 )
             return value
-        return ExtensionScalar(self, (Fraction(value),))
+        return ExtensionScalar(self, (QQ.coerce(value),) + (0,) * (self.degree - 1))
 
     def element(self, coeffs: Iterable[Fraction | int]) -> "ExtensionScalar":
         """Residue from little-endian coefficients (reduced mod the modulus)."""
-        return ExtensionScalar(self, self._reduce([Fraction(c) for c in coeffs]))
+        return ExtensionScalar(self, self._reduce([QQ.coerce(c) for c in coeffs]))
 
     def generator(self) -> "ExtensionScalar":
         """The image of x."""
         return self.element([0, 1])
 
-    def _reduce(self, dense: list[Fraction]) -> tuple[Fraction, ...]:
-        _, rem = _pdivmod(_trim(list(dense)), self._dense)
-        out = rem + [Fraction(0)] * (self.degree - len(rem))
-        return tuple(out[: self.degree])
+    def _reduce(self, c: list) -> tuple:
+        """Fold the little-endian list c in place to ``degree`` coefficients,
+        rewriting x^k for each k >= d, from the top, as the sum of r_i x^(k-d+i)."""
+        d, rule = self.degree, self._rule
+        c += [0] * (d - len(c))
+        for top in range(len(c) - 1, d - 1, -1):
+            k = c[top]
+            if k:
+                for i, r in enumerate(rule, top - d):
+                    c[i] += k * r
+        return tuple(map(QQ.coerce, c[:d]))
 
     def __eq__(self, other):
         return isinstance(other, ExtensionField) and self.modulus == other.modulus
@@ -353,15 +319,18 @@ class ExtensionField:
 
 
 class ExtensionScalar:
-    """Residue of degree < deg(f), with exact rational coefficients."""
+    """Residue of degree < d = deg(f): ``coeffs`` is a tuple of exactly d
+    little-endian Q scalars, each an ``int`` when integral, as over Q.
+
+    The constructor stores the tuple it is given; build a residue from any
+    coefficient list with :meth:`ExtensionField.element`.
+    """
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: ExtensionField, coeffs: Iterable[Fraction]):
+    def __init__(self, field: ExtensionField, coeffs: tuple):
         self.field = field
-        c = list(coeffs)
-        c += [Fraction(0)] * (field.degree - len(c))
-        self.coeffs = tuple(c[: field.degree])
+        self.coeffs = coeffs
 
     def _match(self, other) -> "ExtensionScalar | None":
         if isinstance(other, ExtensionScalar):
@@ -378,12 +347,14 @@ class ExtensionScalar:
         o = self._match(other)
         if o is None:
             return NotImplemented
-        return ExtensionScalar(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return ExtensionScalar(
+            self.field, tuple(QQ.coerce(a + b) for a, b in zip(self.coeffs, o.coeffs))
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtensionScalar(self.field, [-a for a in self.coeffs])
+        return ExtensionScalar(self.field, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         o = self._match(other)
@@ -401,7 +372,12 @@ class ExtensionScalar:
         o = self._match(other)
         if o is None:
             return NotImplemented
-        prod = _pmul(_trim(list(self.coeffs)), _trim(list(o.coeffs)))
+        b = o.coeffs
+        prod = [0] * (2 * len(b) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, v in enumerate(b, i):
+                    prod[j] += a * v
         return ExtensionScalar(self.field, self.field._reduce(prod))
 
     __rmul__ = __mul__
@@ -409,18 +385,30 @@ class ExtensionScalar:
     def inverse(self) -> "ExtensionScalar":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in Q[x] against the modulus
-        r0, r1 = list(self.field._dense), _trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while _pdeg(r1) > 0:
-            q, rem = _pdivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _padd(s0, _pscale(_pmul(q, s1), Fraction(-1)))
-            if not r1:
+        # solve a * y = 1 by Gauss-Jordan: column j of the matrix is a * x^j,
+        # and the last column of each row is the right-hand side 1
+        field = self.field
+        d = field.degree
+        cols, col = [], self.coeffs
+        for _ in range(d):
+            cols.append(col)
+            top = col[-1]
+            col = tuple(c + top * r for c, r in zip((0,) + col[:-1], field._rule))
+        rows = [[Fraction(c[i]) for c in cols] + [Fraction(i == 0)] for i in range(d)]
+        for k in range(d):
+            pivot = next((i for i in range(k, d) if rows[i][k]), None)
+            if pivot is None:
                 raise NotInvertibleError(
                     "residue shares a factor with the (trusted) modulus"
                 )
-        return ExtensionScalar(self.field, self.field._reduce(_pscale(s1, 1 / r1[0])))
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            lead = rows[k][k]
+            rows[k] = [v / lead for v in rows[k]]
+            for i in range(d):
+                if i != k and rows[i][k]:
+                    m = rows[i][k]
+                    rows[i] = [v - m * w for v, w in zip(rows[i], rows[k])]
+        return ExtensionScalar(field, tuple(QQ.coerce(row[d]) for row in rows))
 
     def __truediv__(self, other):
         o = self._match(other)
@@ -455,11 +443,3 @@ class ExtensionScalar:
     def __repr__(self):
         return f"<{self} mod {self.field.modulus}>"
 
-
-def inv(a):
-    if isinstance(a, ExtensionScalar):
-        return a.inverse()
-    a = Fraction(a)
-    if not a:
-        raise ZeroDivisionError("inverse of zero")
-    return QQ.coerce(1 / a)

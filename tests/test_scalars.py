@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from leavitt import scalars
 from leavitt.errors import (
     DegreeZeroError,
     FieldMismatchError,
+    NotInvertibleError,
     ParseError,
     ReduciblePolynomialError,
     ZeroConstantTermError,
 )
-from leavitt.scalars import QQ, ExtensionField, LaurentPoly, inv
+from leavitt.scalars import QQ, ExtensionField, LaurentPoly
+
+MODULI = ["1 + x", "1 + x + x^2", "3*x^2 - 2", "x^3 - 2"]
 
 
 def test_rationals_are_ints_when_integral():
@@ -20,7 +24,7 @@ def test_rationals_are_ints_when_integral():
         assert type(QQ.coerce(value)) is int and QQ.coerce(value) == Fraction(value)
     assert QQ.coerce(Fraction(1, 3)) == Fraction(1, 3)
     assert type(QQ.coerce(Fraction(-5, 3))) is Fraction
-    assert type(inv(Fraction(1, 2))) is int and inv(Fraction(1, 2)) == 2
+    assert type(QQ.coerce(1 / Fraction(1, 2))) is int and QQ.coerce(1 / Fraction(1, 2)) == 2
 
 
 def test_rational_parse_and_print():
@@ -33,10 +37,10 @@ def test_rational_parse_and_print():
 
 def test_rational_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
-        inv(Fraction(0))
+        1 / Fraction(0)
     with pytest.raises(ZeroDivisionError):
         Fraction(1) / 0
-    assert inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert 1 / Fraction(-2, 3) == Fraction(-3, 2)
 
 
 @pytest.mark.parametrize(
@@ -159,7 +163,7 @@ def test_mixed_field_operands():
 def test_inverse_of_zero_extension():
     field = ExtensionField(LaurentPoly.parse("1 + x + x^2"))
     with pytest.raises(ZeroDivisionError):
-        inv(field.zero)
+        field.zero.inverse()
 
 
 def _random_scalar(rng, field):
@@ -168,11 +172,11 @@ def _random_scalar(rng, field):
     return field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(field.degree)])
 
 
-@pytest.mark.parametrize("use_extension", [False, True])
-def test_field_axioms_random_triples(use_extension):
-    field = ExtensionField(LaurentPoly.parse("1 + x + x^2")) if use_extension else None
+@pytest.mark.parametrize("modulus", [None] + MODULI, ids=lambda m: m or "Q")
+def test_field_axioms_random_triples(modulus):
+    field = ExtensionField(LaurentPoly.parse(modulus)) if modulus else None
     one = field.one if field else Fraction(1)
-    rng = random.Random(42 if use_extension else 43)
+    rng = random.Random(42 if modulus else 43)
     for _ in range(1000):
         a, b, c = (_random_scalar(rng, field) for _ in range(3))
         assert (a + b) + c == a + (b + c)
@@ -182,5 +186,73 @@ def test_field_axioms_random_triples(use_extension):
         assert a * (b + c) == a * b + a * c
         assert a + (-a) == a - a
         if a != a - a:
-            assert a * inv(a) == one
+            assert a * (a.inverse() if field else 1 / a) == one
             assert (b / a) * a == b
+
+
+@pytest.mark.parametrize("modulus", MODULI)
+def test_element_matches_long_division(modulus):
+    field = ExtensionField(LaurentPoly.parse(modulus))
+    dense = [field.modulus[i] for i in range(field.degree + 1)]
+    rng = random.Random(modulus)
+    for _ in range(200):
+        c = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 2 * field.degree))]
+        assert field.element(c).coeffs == tuple(_poly_remainder(c, dense))
+
+
+def test_integral_residues_have_int_coefficients():
+    field = ExtensionField(LaurentPoly.parse("1 + x + x^2"))
+    x = field.generator()
+    assert (x * x).coeffs == (-1, -1) and all(type(c) is int for c in (x * x).coeffs)
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = (field.element([rng.randint(-9, 9) for _ in range(4)]) for _ in range(2))
+        for value in (a, b, a + b, a * b, a - b, -a, 3 * a, a + 1):
+            assert all(type(c) is int for c in value.coeffs), value.coeffs
+    # integral results of non-integral operands are ints too
+    half = field.element([Fraction(1, 2), Fraction(3, 2)])
+    for value in (half + half, 2 * half, 4 * half * half, x.inverse(), half / half):
+        assert all(type(c) is int for c in value.coeffs), value.coeffs
+
+
+def test_zero_divisor_of_trusted_modulus_is_not_invertible():
+    # 1 + 2x^2 + x^4 = (1 + x^2)^2 is reducible but above degree 3, so trusted
+    with pytest.warns(UserWarning, match="not verified"):
+        field = ExtensionField(LaurentPoly.parse("1 + 2*x^2 + x^4"))
+    x = field.generator()
+    with pytest.raises(NotInvertibleError):
+        (1 + x * x).inverse()
+    assert x * x.inverse() == field.one
+    assert x.inverse() == field.element([0, -2, 0, -1])
+
+
+def test_rational_root_test_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(11)
+    seen = set()
+    for degree in (2, 3):
+        for _ in range(300):
+            coeffs = [rng.choice([k for k in range(-60, 61) if k])]
+            coeffs += [rng.randint(-60, 60) for _ in range(degree - 1)]
+            coeffs.append(rng.choice([k for k in range(-60, 61) if k]))
+            _, factors = sympy.factor_list(sum(c * t**i for i, c in enumerate(coeffs)))
+            linear = any(sympy.degree(f, t) == 1 for f, _ in factors)
+            seen.add((degree, linear))
+            modulus = LaurentPoly(dict(enumerate(coeffs)))
+            if linear:
+                with pytest.raises(ReduciblePolynomialError):
+                    ExtensionField(modulus)
+            else:
+                assert ExtensionField(modulus).degree == degree
+    assert seen == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_quadratic_modulus_with_huge_coefficients_skips_divisors(monkeypatch):
+    def no_divisors(n):
+        raise AssertionError("degree 2 must not enumerate divisors")
+
+    monkeypatch.setattr(scalars, "_divisors", no_divisors)
+    assert ExtensionField(LaurentPoly.parse(f"1 + x + {10**40}*x^2")).degree == 2
+    with pytest.raises(ReduciblePolynomialError):
+        ExtensionField(LaurentPoly.parse(f"x^2 - {10**40}"))
