@@ -14,16 +14,18 @@ Subcommands operate on a graph JSON file (schema: {"vertices": [...],
     verify-free      exhaustive reduced-word check for a generator pair
 
 Exit status: 0 on success, 1 on domain errors (e.g. a pair that is not
-admissible), 2 on usage or parse errors.  Errors print as "error: ..." on
-stderr, or under --json as {"error": {"type", "message", "transcript"}} on
-stdout (the transcript is the discovery scan for NoWitnessFoundError, else
-null).
+admissible), 2 on usage or parse errors, 141 (128 + SIGPIPE) when the
+reader closes stdout early, as in ``| head -1``.  Errors print as
+"error: ..." on stderr, or under --json as {"error": {"type", "message",
+"transcript"}} on stdout (the transcript is the discovery scan for
+NoWitnessFoundError, else null).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import LeavittError, UsageError
@@ -282,11 +284,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except UsageError as exc:
-        return _fail(exc, args.json, 2)
-    except LeavittError as exc:
-        return _fail(exc, args.json, 1)
+        try:
+            return args.fn(args)
+        except UsageError as exc:
+            return _fail(exc, args.json, 2)
+        except LeavittError as exc:
+            return _fail(exc, args.json, 1)
+    except BrokenPipeError:
+        # stdout's reader is gone, maybe mid error report: aim stdout at
+        # devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def _fail(exc: Exception, as_json: bool, code: int) -> int:

@@ -4,15 +4,18 @@ Every noncommutative unital Leavitt path algebra over a characteristic-0
 field contains a non-cyclic free subgroup on two unipotent units 1 + 2t
 with t^2 = 0.  The discovery pipeline enumerates admissible pairs,
 classifies each ideal, keeps those with a noncommutative quotient, and
-emits certificates by type:
+emits certificates through one emitter.  A witness is a non-loop edge f-bar
+of the quotient graph together with its tail: a sink at its range, or an
+eventually periodic path from its range onto a cycle.  The ideal's type
+fixes the tail its simple module is built on (type I: the clone sink w' of
+the breaking vertex w; type III: the given cycle; type II: any sink or
+cycle).  The generators are 1 + t* and 1 + t, where t lifts 2 f-bar:
 
-* type I (breaking vertex w): generators 1 + 2 w^H f* and 1 + 2 f w^H for
-  an edge f with r(f) = w, where w^H = w - sum of e e* over the explicit
-  edges of w escaping H.  The quotient sends them to 1 + 2 f'* and 1 + 2 f'
-  with f' ending at the new sink w'.
-* type II / type III / the zero ideal: generators 1 + 2 f* and 1 + 2 f for
-  an edge f with s(f) != r(f) whose range is a sink of the quotient or
-  reaches a cycle there (the head of an eventually periodic infinite path).
+* t = 2f when f-bar is an edge f of the graph;
+* t = 2 f w^H when f-bar is the clone f' of an edge f into w, where
+  w^H = w - sum of e e* over the explicit edges of w escaping H.  This is
+  the ``breaking_vertex`` witness: the quotient sends the generators to
+  1 + 2 f'* and 1 + 2 f'.
 
 Free generation itself is not decidable at this interface; certificates are
 checked by exhaustive evaluation of all freely reduced words up to a length
@@ -250,10 +253,10 @@ def find_free_generators(g: Graph) -> list[FreePairCertificate]:
             continue
         res = classify(IdealDescriptor(pair))
         if res.verdict == TYPE_I:
-            n = _emit_breaking(g, pair, res, certs, seen)
+            n = _emit(g, pair, res, pair.clones[res.witness_vertex], certs, seen)
             scanned.append(f"{label}: type I, {n} certificate(s)")
         elif res.verdict == TYPE_II:
-            n = _emit_edge_pairs(g, pair, res, None, certs, seen)
+            n = _emit(g, pair, res, None, certs, seen)
             scanned.append(f"{label}: type II, {n} certificate(s)")
         elif pair.S == pair.breaking:
             n = 0
@@ -263,7 +266,7 @@ def find_free_generators(g: Graph) -> list[FreePairCertificate]:
                 base_cycle = g.path(cyc.rep.source, cyc.rep.edges)
                 res3 = classify(IdealDescriptor(pair, cycle=base_cycle, poly=DEFAULT_CYCLE_POLY))
                 if res3.verdict == TYPE_III:
-                    n += _emit_edge_pairs(g, pair, res3, tuple(cyc.rep.edges), certs, seen)
+                    n += _emit(g, pair, res3, tuple(cyc.rep.edges), certs, seen)
             scanned.append(f"{label}: graded not primitive, {n} type III certificate(s)")
         else:
             scanned.append(f"{label}: not primitive")
@@ -274,62 +277,46 @@ def find_free_generators(g: Graph) -> list[FreePairCertificate]:
     return certs
 
 
-def _push(certs, seen, cert) -> int:
-    key = (str(cert.a), str(cert.b))
-    if key in seen:
-        return 0
-    seen.add(key)
-    certs.append(cert)
-    return 1
-
-
-def _emit_breaking(g, pair, res, certs, seen) -> int:
-    w = res.witness_vertex
+def _emit(g, pair, res, target, certs, seen) -> int:
+    """Certificates 1 + t*, 1 + t, t the lift of 2 f-bar, for the quotient
+    edges f-bar with tail ``target`` (see ``_edge_witness``), in the sorted
+    order of their lifts, skipping generator pairs already in ``seen``.
+    With no explicit witness, one edge is minted from each bundle of g whose
+    range lies outside H, in sorted order, until one yields a witness."""
     if is_commutative(pair.quotient_graph()).commutative:
         return 0
-    candidates = list(g.in_edges(w))
     work_g, work_pair, minted = g, pair, ()
-    if not candidates:
-        inb = g.in_bundles(w)
-        if not inb:
-            return 0
-        work_g, minted = g.with_minted(sorted(inb)[0], 1)
+    found = _witnesses(pair, target, sorted(g.edges))
+    for bname in sorted(name for name, b in g.bundles.items() if b.dst not in pair.H):
+        if found:
+            break
+        work_g, minted = g.with_minted(bname, 1)
         work_pair = AdmissiblePair(work_g, pair.H, pair.S)
-        candidates = [minted[0].name]
-    wh = breaking_vertex_element(work_g, work_pair.H, w).scale(2)
+        found = _witnesses(work_pair, target, [minted[0].name])
     emitted = 0
-    for fname in candidates:
-        t = AlgebraElement.edge(work_g, fname) * wh
-        cert = _certificate(work_g, t, BreakingVertexWitness(fname, w), work_pair, res, minted)
-        emitted += _push(certs, seen, cert)
-    return emitted
-
-
-def _emit_edge_pairs(g, pair, res, target_cycle, certs, seen) -> int:
-    quotient = pair.quotient_graph()
-    if is_commutative(quotient).commutative:
-        return 0
-    work_g, work_pair, q, minted = g, pair, quotient, ()
-    candidates = [
-        (name, w)
-        for name in sorted(q.edges)
-        if (w := _edge_witness(q, name, target_cycle)) is not None
-    ]
-    if not candidates:
-        for bname in sorted(q.bundles):
-            work_g, minted = g.with_minted(bname, 1)
-            work_pair = AdmissiblePair(work_g, pair.H, pair.S)
-            q = work_pair.quotient_graph()
-            w = _edge_witness(q, minted[0].name, target_cycle)
-            if w is not None:
-                candidates = [(minted[0].name, w)]
-                break
-            work_g, work_pair, q, minted = g, pair, quotient, ()
-    emitted = 0
-    for fname, witness in candidates:
+    for fname, witness in found:
         t = AlgebraElement.edge(work_g, fname).scale(2)
-        emitted += _push(certs, seen, _certificate(work_g, t, witness, work_pair, res, minted))
+        if isinstance(witness, BreakingVertexWitness):
+            t = t * breaking_vertex_element(work_g, work_pair.H, witness.vertex)
+        cert = _certificate(work_g, t, witness, work_pair, res, minted)
+        key = (str(cert.a), str(cert.b))
+        if key not in seen:
+            seen.add(key)
+            certs.append(cert)
+            emitted += 1
     return emitted
+
+
+def _witnesses(pair, target, names) -> list:
+    """(f, witness) for each edge f of ``names`` whose image in the quotient,
+    or whose clone there, is a witness edge for ``target``."""
+    q, clones, found = pair.quotient_graph(), pair.clones, []
+    for f in names:
+        if f in q.edges and (witness := _edge_witness(q, f, target)) is not None:
+            found.append((f, witness))
+        if f in clones and _edge_witness(q, clones[f], target) is not None:
+            found.append((f, BreakingVertexWitness(f, pair.graph.edges[f].dst)))
+    return found
 
 
 def _certificate(g, t, witness, pair, classification, minted=(), s=None) -> FreePairCertificate:
@@ -351,15 +338,19 @@ def _certificate(g, t, witness, pair, classification, minted=(), s=None) -> Free
     )
 
 
-def _edge_witness(q: Graph, fname: str, target_cycle: tuple[str, ...] | None):
-    """Witness for an edge of the quotient: a sink range, or a materialized
-    eventually periodic tail reaching a cycle (the given one for type III)."""
+def _edge_witness(q: Graph, fname: str, target: str | tuple[str, ...] | None):
+    """Witness for a non-loop edge of the quotient: its range is a sink, or
+    heads a materialized eventually periodic tail onto a cycle.  ``target``
+    is the tail of the ideal's simple module: a sink name (type I), a
+    cycle's edges (type III), or None for any sink or cycle."""
     f = q.edges[fname]
     if f.src == f.dst:
         return None
-    if target_cycle is None and q.vertex_kind(f.dst) == SINK:
+    if isinstance(target, str):
+        return SinkEdgeWitness(edge=fname, sink=f.dst) if f.dst == target else None
+    if target is None and q.vertex_kind(f.dst) == SINK:
         return SinkEdgeWitness(edge=fname, sink=f.dst)
-    hit = _path_to_cycle(q, f.dst, target_cycle)
+    hit = _path_to_cycle(q, f.dst, target)
     if hit is None:
         return None
     prefix, rotated = hit
@@ -432,21 +423,18 @@ def _matrix_context(cert: FreePairCertificate):
     """Module, ordered basis, and quotient map backing matrix-mode checks."""
     q = cert.pair.quotient_graph()
     w = cert.witness
+    if isinstance(w, BreakingVertexWitness):
+        clones = cert.pair.clones
+        w = SinkEdgeWitness(edge=clones[w.edge], sink=clones[w.vertex])
     if isinstance(w, SinkEdgeWitness):
         module = SinkModule(q, w.sink, cert.a.field)
-        basis = invariant_pair(module, w.edge)
-    elif isinstance(w, BreakingVertexWitness):
-        clones = cert.pair.clones
-        module = SinkModule(q, clones[w.vertex], cert.a.field)
-        basis = invariant_pair(module, clones[w.edge])
     elif isinstance(w, InfinitePathEdgeWitness):
         prefix = q.path(w.tail_source, w.tail_prefix)
         cycle = q.path(q.range_of(prefix), w.tail_cycle)
         module = RationalPathModule(q, cycle, prefix, cert.a.field)
-        basis = invariant_pair(module, w.edge)
     else:
         raise NotInvariantError("certificate carries no matrix-mode witness")
-    return module, basis, cert.pair.phi
+    return module, invariant_pair(module, w.edge), cert.pair.phi
 
 
 def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "both") -> dict:

@@ -309,7 +309,7 @@ class ExtensionField:
         return tuple(map(QQ.coerce, c[:d]))
 
     def __eq__(self, other):
-        return isinstance(other, ExtensionField) and self.modulus == other.modulus
+        return self is other or (isinstance(other, ExtensionField) and self.modulus == other.modulus)
 
     def __hash__(self):
         return hash(self.modulus)

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import leavitt
 from leavitt import examples
 from leavitt.cli import main
-from leavitt.graph import graph_from_json, graph_to_json
+from leavitt.graph import Edge, Graph, graph_from_json, graph_to_json
 
 
 @pytest.fixture
@@ -352,3 +357,33 @@ def test_deep_nesting_is_a_parse_error(graph_file, capsys, tmp_path):
         assert run(capsys, "normalize", path, "--", "-" * signs + "u") == (0, form + "\n", "")
         code, out, err = run(capsys, "normalize", "--json", path, "--", "-" * signs + "u")
         assert code == 0 and err == "" and json.loads(out)["normal_form"] == form
+
+
+# 300 parallel edges give 300 certificates; a rose beside 10 isolated
+# vertices gives a NoWitnessFoundError whose scan transcript lists 2,048 pairs.
+# Either JSON is far larger than a pipe buffer.
+CLOSED_STDOUT_GRAPHS = {
+    "certificates": Graph(["u", "v"], [Edge(f"f{i}", "u", "v") for i in range(300)]),
+    "error_report": Graph(
+        ["v"] + [f"z{i}" for i in range(10)], [("l0", "v", "v"), ("l1", "v", "v")]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_STDOUT_GRAPHS))
+def test_closed_stdout_exits_141_quietly(graph_file, name):
+    """A reader that stops after one line (``| head -1``) gets no traceback.
+
+    The child is still blocked writing when the pipe closes."""
+    path = graph_file(CLOSED_STDOUT_GRAPHS[name])
+    src = str(Path(leavitt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "leavitt.cli", "free-gens", path, "--max-len", "1", "--json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -139,15 +139,27 @@ def test_commutative_graph_raises():
     assert info.value.transcript
 
 
-def test_phi_compat_for_breaking_certificates(double_emitter, bundle_inflow):
-    for g in (double_emitter, bundle_inflow):
-        for cert in find_free_generators(g):
-            if not isinstance(cert.witness, BreakingVertexWitness):
-                continue
+def test_phi_compat_for_breaking_certificates():
+    # every certificate lifts 2 f-bar: phi(b) = 1 + 2 f-bar and phi(a) = 1 + 2 f-bar*,
+    # where f-bar is the witness edge, or its clone for a breaking-vertex witness
+    graphs = [examples.ALL[name]() for name in sorted(examples.ALL)]
+    graphs += [random_bundle_graph(random.Random(seed)) for seed in range(40)]
+    checked = 0
+    for g in graphs:
+        try:
+            certs = find_free_generators(g)
+        except NoWitnessFoundError:
+            continue
+        for cert in certs:
             q = cert.pair.quotient_graph()
-            fname = f"{cert.witness.edge}'"
-            assert cert.pair.phi(cert.a) == normalize(q, f"1 + 2*{fname}^*")
-            assert cert.pair.phi(cert.b) == normalize(q, f"1 + 2*{fname}")
+            fbar = cert.witness.edge
+            if isinstance(cert.witness, BreakingVertexWitness):
+                fbar = cert.pair.clones[fbar]
+            one, f = AlgebraElement.one(q), AlgebraElement.edge(q, fbar).scale(2)
+            assert cert.pair.phi(cert.a) == one + f.star(), (g, cert.witness)
+            assert cert.pair.phi(cert.b) == one + f, (g, cert.witness)
+            checked += 1
+    assert checked == 177
 
 
 def test_reduced_word_enumeration():
