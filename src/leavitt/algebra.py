@@ -26,6 +26,13 @@ form a decision procedure for equality.  Bundle edges never appear in
 elements (CK2 does not fire at infinite emitters), only explicit or minted
 representatives do.
 
+Products are closed-form but for one case.  Of two basis monomials g l*
+and r n* with s(l) = s(r), the product is zero unless one of l, r extends
+the other.  It keeps the tails of r n* when r is the longer, and those of
+g l* when l is, so it is a basis monomial; only l = r leaves g n*, which
+can reduce.  So ``mul`` writes the other products down and reduces only
+the exact-match ones (see ``AlgebraElement.mul``).
+
 Everything here is immutable and pure; products of independent elements can
 be evaluated concurrently without shared state.
 """
@@ -74,10 +81,12 @@ def add_term(terms: dict, key, coeff) -> None:
         del terms[key]
 
 
-def _normalize_terms(g: Graph, items) -> dict:
+def _normalize_terms(g: Graph, items, out: dict | None = None) -> dict:
     """Reduce a raw (monomial, coefficient) stream to basis form, one loop
-    per monomial stripping its special tail edges (see the module notes)."""
-    out: dict[PathMonomial, object] = {}
+    per monomial stripping its special tail edges (see the module notes).
+    The result is added into ``out`` when given, else into a new dict."""
+    if out is None:
+        out = {}
     for mono, coeff in items:
         if not coeff:
             continue
@@ -218,21 +227,41 @@ class AlgebraElement:
         return NotImplemented
 
     def mul(self, other: "AlgebraElement") -> "AlgebraElement":
+        """The product in basis form, reducing only exact-match products.
+
+        Take basis monomials g l* and r n* with s(l) = s(r) (by CK1 the
+        product is zero otherwise, so only such pairs are tried):
+
+        * r = l r' with r' nonempty: the product (g r') n* ends like r n*,
+          so its two paths end in the same special edge exactly when those
+          of r n* do, which they do not;
+        * l = r l'' with l'' nonempty: the product g (n l'')* ends like
+          g l*, a basis monomial, by the same argument;
+        * neither extends the other: the product is zero by CK1.
+
+        Only l = r can give a reducible g n*.  Those products go through
+        ``_normalize_terms`` together; every other one is added directly.
+        """
         self._check_graph(other)
         field = _join_fields(self, other)
         a, b = self.with_field(field), other.with_field(field)
-        # (g l*)(r n*) = 0 unless s(l) = s(r) (CK1): pair each left term
-        # only with the right terms whose real part starts where its ghost does
         by_source: dict[str, list] = {}
         for m2, c2 in b.terms.items():
             by_source.setdefault(m2.gamma.source, []).append((m2, c2))
-        raw = []
+        terms: dict[PathMonomial, object] = {}
+        exact = []
         for m1, c1 in a.terms.items():
-            for m2, c2 in by_source.get(m1.lam.source, ()):
+            lam = m1.lam
+            for m2, c2 in by_source.get(lam.source, ()):
+                if m2.gamma == lam:
+                    exact.append((PathMonomial(m1.gamma, m2.lam), c1 * c2))
+                    continue
                 prod = _mono_mul(m1, m2)
                 if prod is not None:
-                    raw.append((prod, c1 * c2))
-        return AlgebraElement.from_terms(self.graph, raw, field)
+                    add_term(terms, prod, c1 * c2)
+        if exact:
+            _normalize_terms(self.graph, exact, terms)
+        return AlgebraElement(self.graph, field, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, scalars.ExtensionScalar)):

@@ -21,8 +21,11 @@ Free generation itself is not decidable at this interface; certificates are
 checked by exhaustive evaluation of all freely reduced words up to a length
 bound, in the algebra, as 2x2 matrices over the witness subspace (where the
 generators act as the Sanov pair [[1,0],[2,1]], [[1,2],[0,1]]), or both
-with a cross-check.  A transcript records that the bound is all the run
-certifies.
+with a cross-check.  Matrices are read straight off the raw quotient images
+(``AdmissiblePair.phi_terms`` into ``modules.span_matrix``), with no
+quotient element built: the witness module is a module over the quotient,
+so any expression of phi(x) acts as phi(x) does.  A transcript records that
+the bound is all the run certifies.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .modules import (
     invariant_pair,
     mat_identity,
     mat_mul,
-    matrix_of,
+    span_matrix,
 )
 
 
@@ -281,6 +284,8 @@ def _emit(g, pair, res, target, certs, seen) -> int:
     """Certificates 1 + t*, 1 + t, t the lift of 2 f-bar, for the quotient
     edges f-bar with tail ``target`` (see ``_edge_witness``), in the sorted
     order of their lifts, skipping generator pairs already in ``seen``.
+    Breaking-vertex witnesses occur only for type I, whose target is the
+    clone sink w' of its one breaking vertex w, so w^H is built once.
     With no explicit witness, one edge is minted from each bundle of g whose
     range lies outside H, in sorted order, until one yields a witness."""
     if is_commutative(pair.quotient_graph()).commutative:
@@ -293,11 +298,13 @@ def _emit(g, pair, res, target, certs, seen) -> int:
         work_g, minted = g.with_minted(bname, 1)
         work_pair = AdmissiblePair(work_g, pair.H, pair.S)
         found = _witnesses(work_pair, target, [minted[0].name])
-    emitted = 0
+    emitted, wh = 0, None
     for fname, witness in found:
         t = AlgebraElement.edge(work_g, fname).scale(2)
         if isinstance(witness, BreakingVertexWitness):
-            t = t * breaking_vertex_element(work_g, work_pair.H, witness.vertex)
+            if wh is None:  # one w per call: type I's clone sink target is w'
+                wh = breaking_vertex_element(work_g, work_pair.H, witness.vertex)
+            t = t * wh
         cert = _certificate(work_g, t, witness, work_pair, res, minted)
         key = (str(cert.a), str(cert.b))
         if key not in seen:
@@ -456,11 +463,12 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
     g = cert.graph
     elems = {"a": cert.a, "A": cert.a_inv, "b": cert.b, "B": cert.b_inv}
     one = AlgebraElement.one(g, cert.a.field)
-    module = basis = to_quotient = None
+    module = basis = phi_terms = None
     gen_mats = ident = None
     if use_mat:
-        module, basis, to_quotient = _matrix_context(cert)
-        gen_mats = {ch: matrix_of(module, basis, to_quotient(elems[ch])) for ch in _LETTERS}
+        module, basis, _ = _matrix_context(cert)
+        phi_terms = cert.pair.phi_terms
+        gen_mats = {ch: span_matrix(module, basis, phi_terms(elems[ch])) for ch in _LETTERS}
         ident = mat_identity(module.field)
 
     word_count = 0
@@ -482,7 +490,7 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
                 failure = {"word": new_word, "reason": "matrix image is the identity"}
                 break
             if use_alg and use_mat:
-                if matrix_of(module, basis, to_quotient(new_prod)) != new_mat:
+                if span_matrix(module, basis, phi_terms(new_prod)) != new_mat:
                     failure = {
                         "word": new_word,
                         "reason": "matrix of the evaluated word disagrees with the matrix product",

@@ -24,7 +24,9 @@ can only be the last one, while the cross terms g l'* and g' l* vanish
 because r r' = 0.  The images are monomials over the quotient graph but
 not always basis monomials there (breaking vertices become regular, and
 a clone e' can become the special edge), so one normalization over the
-quotient finishes the job.
+quotient finishes the job.  ``AdmissiblePair.phi_terms`` yields the raw
+images, which a module over the quotient can act with as they are (see
+``modules.span_matrix``); ``AdmissiblePair.phi`` normalizes them.
 
 Membership in I(H, S) is exactly phi(a) = 0, which is decidable because the
 quotient algebra has canonical normal forms.
@@ -126,37 +128,40 @@ class AdmissiblePair:
             self._quotient = quotient_graph(self.graph, self.H, self.S)
         return self._quotient
 
-    def phi(self, a: AlgebraElement) -> AlgebraElement:
-        """Apply the quotient epimorphism and normalize over the quotient.
+    def phi_terms(self, a: AlgebraElement):
+        """The raw image of ``a`` under the quotient epimorphism: one or two
+        (monomial over the quotient graph, coefficient) pairs per term.
 
         Each term c g l* with range r maps to nothing when r is in H, to
         c g l* + c g' l'* when r is in B_H \\ S (g', l' end in the clone of
         their last edge, or are the trivial path at r'), and to itself
         otherwise.  Why: H is hereditary, so a path with an edge into H ends
         in H; clones are sinks, so only a last edge can be primed and the
-        cross terms g l'*, g' l* vanish; and one normalization over the
-        quotient graph restores basis form.
+        cross terms g l'*, g' l* vanish.  The monomials need not be basis
+        monomials of the quotient; any module over the quotient acts on them
+        as it acts on their normal form.
         """
         if a.graph is not self.graph and a.graph != self.graph:
             raise NotAdmissibleError("element does not live over this pair's graph")
-        q = self.quotient_graph()  # raises NotAdmissibleError for the improper ideal
+        self.quotient_graph()  # raises NotAdmissibleError for the improper ideal
         H, clones = self.H, self.clones
-        raw = []
         edges = self.graph.edges
         for mono, coeff in a.terms.items():
             gamma = mono.gamma  # r(g l*) = r(g), read inline: this loop runs per term
             end = edges[gamma.edges[-1]].dst if gamma.edges else gamma.source
             if end in H:
                 continue
-            raw.append((mono, coeff))
+            yield mono, coeff
             # graph names are unique, so a vertex key here means r is in B_H \ S
             head = clones.get(end)
             if head is not None:
-                primed = PathMonomial(
-                    _primed(mono.gamma, clones, head), _primed(mono.lam, clones, head)
-                )
-                raw.append((primed, coeff))
-        return AlgebraElement.from_terms(q, raw, a.field)
+                primed = PathMonomial(_primed(gamma, clones, head), _primed(mono.lam, clones, head))
+                yield primed, coeff
+
+    def phi(self, a: AlgebraElement) -> AlgebraElement:
+        """Apply the quotient epimorphism: ``phi_terms`` and one normalization
+        over the quotient graph, which restores basis form."""
+        return AlgebraElement.from_terms(self.quotient_graph(), self.phi_terms(a), a.field)
 
     def contains(self, a: AlgebraElement) -> bool:
         """Graded-ideal membership: a lies in I(H, S) iff phi(a) = 0."""

@@ -20,13 +20,17 @@ paths it sources, an edge prepends when composable, a ghost edge strips a
 leading edge (and kills length-0 paths).  A monomial g l* strips l as a
 prefix with one slice and prepends g; V_[mu] first appends whole periods so
 that l fits, then folds trailing periods back.  The action of a general
-element is the bilinear extension, evaluated term by term; a term g l*
-kills every basis path that does not start at s(l), so such pairs are
-skipped before the strip.
+element is the bilinear extension, evaluated term by term in one loop
+(``_BaseModule._sweep``); a term g l* kills every basis path that does not
+start at s(l), so such pairs are skipped before the strip.  The rules hold
+for any monomial g l*, not only basis monomials: the module satisfies the
+relations, so any expression of an element acts as its normal form does.
 
 ``invariant_pair`` returns the ordered basis (q, p) = (f . base, base) of
-the two-dimensional invariant subspace attached to a witness edge f, and
-``matrix_of`` reads off 2x2 matrices in that basis, columns = images.
+the two-dimensional invariant subspace attached to a witness edge f.
+``span_matrix`` reads the 2x2 matrix in that basis, columns = images, off
+a raw (monomial, coefficient) stream, both columns in one sweep over it;
+``matrix_of`` is ``span_matrix`` over the terms of an element.
 """
 
 from __future__ import annotations
@@ -113,17 +117,26 @@ class _BaseModule:
         if x.module is not self:
             raise MixedGraphsError("vector belongs to a different module")
         out: dict = {}
-        for mono, coeff in a.terms.items():
-            source = mono.lam.source
-            for b, c in x.terms.items():
+        self._sweep(a.terms.items(), [(b, c, out) for b, c in x.terms.items()])
+        return ModuleVector(self, out)
+
+    def _sweep(self, items, columns) -> None:
+        """The term loop: for each column (b, c, out), add c times the image
+        of the basis path b under the (monomial, coefficient) stream
+        ``items`` into the dict ``out``; c = None stands for 1.  The
+        monomials need not be basis monomials, and ``items`` is read once."""
+        act_monomial = self._act_monomial
+        for (gamma, lam), coeff in items:
+            source = lam.source
+            for b, c, out in columns:
                 if b.source != source:  # g l* kills every path not starting at s(l)
                     continue
-                hit = self._act_monomial(mono.gamma, mono.lam, b)
+                hit = act_monomial(gamma, lam, b)
                 if hit is None:
                     continue
                 factor, target = hit
-                add_term(out, target, coeff * c if factor is None else coeff * c * factor)
-        return ModuleVector(self, out)
+                k = coeff if c is None else coeff * c
+                add_term(out, target, k if factor is None else k * factor)
 
     # subclasses: _act_monomial(gamma, lam, basis) -> (twist factor | None, basis) | None,
     # called only when s(lam) is the source of the basis path
@@ -284,19 +297,31 @@ def invariant_pair(module, edge_name: str) -> tuple:
     raise NotAWitnessEdgeError(f"no invariant pair construction for {module.kind}")
 
 
-def matrix_of(module, basis: tuple, a: AlgebraElement):
-    """2x2 matrix of the action on span(q, p), columns = images in (q, p) order."""
+def span_matrix(module, basis: tuple, items):
+    """2x2 matrix on span(q, p) of the element that the raw (monomial,
+    coefficient) stream ``items`` over the module's graph and field sums
+    to; columns = images in (q, p) order.  One sweep over ``items`` reads
+    both images; the sum of the images must stay in the span."""
     q, p = basis
-    cols = []
-    for b in (q, p):
-        image = module.act(a, module.basis_vector(b))
-        extra = set(image.terms) - {q, p}
+    at_q, at_p = {}, {}
+    module._sweep(items, [(q, None, at_q), (p, None, at_p)])
+    for image in (at_q, at_p):
+        extra = set(image) - {q, p}
         if extra:
             raise NotInvariantError(
                 f"action leaves the span: extra basis vectors {sorted(map(module.describe, extra))}"
             )
-        cols.append((image.terms.get(q, module.field.zero), image.terms.get(p, module.field.zero)))
-    return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+    zero = module.field.zero
+    return (
+        (at_q.get(q, zero), at_p.get(q, zero)),
+        (at_q.get(p, zero), at_p.get(p, zero)),
+    )
+
+
+def matrix_of(module, basis: tuple, a: AlgebraElement):
+    """2x2 matrix of the action of ``a`` on span(q, p), columns = images in
+    (q, p) order."""
+    return span_matrix(module, basis, module._coerce_element(a).terms.items())
 
 
 def mat_mul(A, B):

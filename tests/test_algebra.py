@@ -182,6 +182,37 @@ def test_products_try_only_composable_pairs(monkeypatch):
     assert seen["nonzero"] > 0 and seen["tried"] <= 3 * seen["nonzero"], seen
 
 
+def test_reduction_sees_only_exact_match_products(monkeypatch):
+    # of the composable pairs (g l*)(r n*), only l = r can leave basis form:
+    # over every reduced word of length <= 3 of the example certificates,
+    # _normalize_terms receives, while mul runs, exactly one monomial per
+    # term pair with l = r, counted here by an independent loop
+    certs = [c for name in sorted(examples.ALL) for c in find_free_generators(examples.ALL[name]())]
+    assert len(certs) == 17
+    seen = {"in_mul": 0, "received": 0, "exact": 0}
+    normalize_terms, mul = algebra._normalize_terms, AlgebraElement.mul
+
+    def counting_normalize(g, items, *rest):
+        items = list(items)
+        if seen["in_mul"]:
+            seen["received"] += len(items)
+        return normalize_terms(g, items, *rest)
+
+    def counting_mul(self, other):
+        seen["exact"] += sum(m1.lam == m2.gamma for m1 in self.terms for m2 in other.terms)
+        seen["in_mul"] += 1
+        try:
+            return mul(self, other)
+        finally:
+            seen["in_mul"] -= 1
+
+    monkeypatch.setattr(algebra, "_normalize_terms", counting_normalize)
+    monkeypatch.setattr(AlgebraElement, "mul", counting_mul)
+    for cert in certs:
+        assert verify_free_words(cert, 3, "both")["all_nontrivial"]
+    assert seen["exact"] > 0 and seen["received"] == seen["exact"], seen
+
+
 def test_star_is_written_down_directly(any_graph, monkeypatch):
     elems = [random_element(random.Random(i), any_graph) for i in range(20)]
     swapped = [[(m.star(), c) for m, c in e.terms.items()] for e in elems]

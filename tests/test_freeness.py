@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import _path_end, brute_certificate_for, random_bundle_graph
+from conftest import _path_end, brute_certificate_for, random_bundle_graph, random_element
 from leavitt import examples, freeness
 from leavitt.algebra import AlgebraElement, eval_group_word
 from leavitt.errors import NoWitnessFoundError, NotInvariantError, NotSquareZeroError
@@ -21,7 +21,8 @@ from leavitt.freeness import (
     verify_free_words,
 )
 from leavitt.graph import Graph
-from leavitt.modules import matrix_of
+from leavitt.ideals import AdmissiblePair
+from leavitt.modules import matrix_of, span_matrix
 
 
 def _pairs(certs):
@@ -160,6 +161,62 @@ def test_phi_compat_for_breaking_certificates():
             assert cert.pair.phi(cert.b) == one + f, (g, cert.witness)
             checked += 1
     assert checked == 177
+
+
+def _example_and_random_certificates():
+    graphs = [examples.ALL[name]() for name in sorted(examples.ALL)]
+    graphs += [random_bundle_graph(random.Random(seed)) for seed in range(40)]
+    certs = []
+    for g in graphs:
+        try:
+            certs += find_free_generators(g)
+        except NoWitnessFoundError:
+            pass
+    return certs
+
+
+def _matrix_or_error(read):
+    try:
+        return read()
+    except NotInvariantError:
+        return NotInvariantError
+
+
+def test_span_matrix_of_raw_images_matches_matrix_of_phi():
+    # the fused read (raw quotient images straight into the 2x2 matrix)
+    # agrees with the matrix of the normalized image, and both leave the
+    # span on the same inputs: words of length <= 3 and random elements
+    certs = _example_and_random_certificates()
+    kinds = {"breaking_vertex": 0, "minted": 0, "invariant": 0, "not_invariant": 0}
+    rng = random.Random(12)
+    for cert in certs:
+        kinds["breaking_vertex"] += isinstance(cert.witness, BreakingVertexWitness)
+        kinds["minted"] += bool(cert.minted)
+        module, basis, phi = _matrix_context(cert)
+        gens = {"a": cert.a, "A": cert.a_inv, "b": cert.b, "B": cert.b_inv}
+        words = {"": AlgebraElement.one(cert.graph, cert.a.field)}
+        for word in reduced_words(3):  # depth-first: a word's prefix comes first
+            words[word] = words[word[:-1]] * gens[word[-1]]
+        xs = list(words.values()) + [random_element(rng, cert.graph) for _ in range(4)]
+        for x in xs:
+            fused = _matrix_or_error(lambda: span_matrix(module, basis, cert.pair.phi_terms(x)))
+            old = _matrix_or_error(lambda: matrix_of(module, basis, phi(x)))
+            assert fused == old, (cert.graph, cert.witness, x)
+            kinds["not_invariant" if old is NotInvariantError else "invariant"] += 1
+    assert len(certs) == 177
+    assert all(kinds.values()), kinds
+
+
+def test_matrix_mode_builds_no_quotient_element(monkeypatch):
+    certs = _example_and_random_certificates()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix mode built a quotient element")
+
+    monkeypatch.setattr(AdmissiblePair, "phi", refuse)
+    monkeypatch.setattr(AlgebraElement, "from_terms", classmethod(refuse))
+    for cert in certs:
+        assert verify_free_words(cert, 3, "matrix")["all_nontrivial"], cert.witness
 
 
 def test_reduced_word_enumeration():
