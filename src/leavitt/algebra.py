@@ -96,7 +96,7 @@ def _normalize_terms(g: Graph, items, out: dict | None = None) -> dict:
             if d != lam.edges[-1]:
                 break
             v = g.edges[d].src
-            if not g.is_regular(v) or g.special_edge(v) != d:
+            if g.special_edge(v) != d:
                 break
             gamma = Path(gamma.source, gamma.edges[:-1])
             lam = Path(lam.source, lam.edges[:-1])

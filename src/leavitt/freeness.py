@@ -283,7 +283,8 @@ def find_free_generators(g: Graph) -> list[FreePairCertificate]:
 def _emit(g, pair, res, target, certs, seen) -> int:
     """Certificates 1 + t*, 1 + t, t the lift of 2 f-bar, for the quotient
     edges f-bar with tail ``target`` (see ``_edge_witness``), in the sorted
-    order of their lifts, skipping generator pairs already in ``seen``.
+    order of their lifts, skipping any t already in ``seen``: the pair is
+    a function of t, so a repeat is dropped before it is built.
     Breaking-vertex witnesses occur only for type I, whose target is the
     clone sink w' of its one breaking vertex w, so w^H is built once.
     With no explicit witness, one edge is minted from each bundle of g whose
@@ -305,11 +306,10 @@ def _emit(g, pair, res, target, certs, seen) -> int:
             if wh is None:  # one w per call: type I's clone sink target is w'
                 wh = breaking_vertex_element(work_g, work_pair.H, witness.vertex)
             t = t * wh
-        cert = _certificate(work_g, t, witness, work_pair, res, minted)
-        key = (str(cert.a), str(cert.b))
+        key = frozenset(t.terms.items())
         if key not in seen:
             seen.add(key)
-            certs.append(cert)
+            certs.append(_certificate(work_g, t, witness, work_pair, res, minted))
             emitted += 1
     return emitted
 
@@ -427,7 +427,7 @@ def reduced_words(max_len: int):
 
 
 def _matrix_context(cert: FreePairCertificate):
-    """Module, ordered basis, and quotient map backing matrix-mode checks."""
+    """Module and ordered basis backing matrix-mode checks."""
     q = cert.pair.quotient_graph()
     w = cert.witness
     if isinstance(w, BreakingVertexWitness):
@@ -441,7 +441,7 @@ def _matrix_context(cert: FreePairCertificate):
         module = RationalPathModule(q, cycle, prefix, cert.a.field)
     else:
         raise NotInvariantError("certificate carries no matrix-mode witness")
-    return module, invariant_pair(module, w.edge), cert.pair.phi
+    return module, invariant_pair(module, w.edge)
 
 
 def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "both") -> dict:
@@ -466,7 +466,7 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
     module = basis = phi_terms = None
     gen_mats = ident = None
     if use_mat:
-        module, basis, _ = _matrix_context(cert)
+        module, basis = _matrix_context(cert)
         phi_terms = cert.pair.phi_terms
         gen_mats = {ch: span_matrix(module, basis, phi_terms(elems[ch])) for ch in _LETTERS}
         ident = mat_identity(module.field)

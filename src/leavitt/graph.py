@@ -9,8 +9,12 @@ emitter iff it sources at least one bundle; bundle self-loops are rejected
 Analyses provided here: vertex kinds, reachability sets M(v), hereditary
 saturated closures, breaking vertices, cycle enumeration with exits and
 exclusivity (condition (L)), the MT-3 common-lower-bound check, and quotient
-graphs by admissible pairs.  Graphs are immutable after construction and all
-analyses are pure.
+graphs by admissible pairs.  Graphs are immutable, so construction builds
+every structural table once: sorted out-edges and out-bundles, the kind of
+each vertex, and its successor and predecessor vertices over edges and
+bundles.  Every query reads those tables.  One closure decides hereditary
+saturation as well as computing it, and one walk serves both M(v)
+(backwards) and MT-3 (forwards).  All analyses are pure.
 """
 
 from __future__ import annotations
@@ -103,38 +107,42 @@ class Graph:
             if v in names:
                 raise DuplicateNameError(f"duplicate name {v!r}")
             names.add(v)
-        vset = set(self.vertices)
-        for pool, store, kind in ((edges, self.edges, "edge"), (bundles, self.bundles, "bundle")):
+        out: dict[str, list[str]] = {v: [] for v in self.vertices}
+        out_bundles: dict[str, list[str]] = {v: [] for v in self.vertices}
+        succ: dict[str, set[str]] = {v: set() for v in self.vertices}
+        pred: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for pool, store, outs, kind in (
+            (edges, self.edges, out, "edge"),
+            (bundles, self.bundles, out_bundles, "bundle"),
+        ):
             for item in pool:
                 e = item if isinstance(item, Edge) else Edge(*item)
                 if e.name in names:
                     raise DuplicateNameError(f"duplicate name {e.name!r}")
                 names.add(e.name)
-                if e.src not in vset or e.dst not in vset:
+                if e.src not in out or e.dst not in out:
                     raise DanglingEndpointError(f"{kind} {e.name!r} references unknown vertex")
                 if kind == "bundle" and e.src == e.dst:
                     raise BundleLoopError(f"bundle {e.name!r} is a self-loop at {e.src!r}")
                 store[e.name] = e
+                outs[e.src].append(e.name)
+                succ[e.src].add(e.dst)
+                pred[e.dst].add(e.src)
 
-        self._out: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
-        self._in: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
-        self._out_bundles: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
-        self._in_bundles: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
-        for e in self.edges.values():
-            self._out[e.src] += (e.name,)
-            self._in[e.dst] += (e.name,)
-        for b in self.bundles.values():
-            self._out_bundles[b.src] += (b.name,)
-            self._in_bundles[b.dst] += (b.name,)
-        for table in (self._out, self._in, self._out_bundles, self._in_bundles):
-            for v in table:
-                table[v] = tuple(sorted(table[v]))
+        self._out = {v: tuple(sorted(out[v])) for v in self.vertices}
+        self._out_bundles = {v: tuple(sorted(out_bundles[v])) for v in self.vertices}
+        self._succ = {v: tuple(sorted(succ[v])) for v in self.vertices}
+        self._pred = {v: tuple(sorted(pred[v])) for v in self.vertices}
+        self._kind = {
+            v: INFINITE_EMITTER if out_bundles[v] else REGULAR if out[v] else SINK
+            for v in self.vertices
+        }
         self._cycle_report: CycleReport | None = None
 
     # basic queries
 
     def require_vertex(self, v: str) -> str:
-        if v not in self._out:
+        if v not in self._kind:
             raise UnknownVertexError(f"unknown vertex {v!r}")
         return v
 
@@ -146,35 +154,20 @@ class Graph:
     def out_edges(self, v: str) -> tuple[str, ...]:
         return self._out[self.require_vertex(v)]
 
-    def in_edges(self, v: str) -> tuple[str, ...]:
-        return self._in[self.require_vertex(v)]
-
     def out_bundles(self, v: str) -> tuple[str, ...]:
         return self._out_bundles[self.require_vertex(v)]
 
-    def in_bundles(self, v: str) -> tuple[str, ...]:
-        return self._in_bundles[self.require_vertex(v)]
-
     def vertex_kind(self, v: str) -> str:
-        self.require_vertex(v)
-        if self._out_bundles[v]:
-            return INFINITE_EMITTER
-        if self._out[v]:
-            return REGULAR
-        return SINK
-
-    def is_regular(self, v: str) -> bool:
-        return self.vertex_kind(v) == REGULAR
+        return self._kind[self.require_vertex(v)]
 
     def kinds(self) -> dict[str, str]:
-        return {v: self.vertex_kind(v) for v in self.vertices}
+        return dict(self._kind)
 
-    def special_edge(self, v: str) -> str:
+    def special_edge(self, v: str) -> str | None:
         """The distinguished out-edge of a regular vertex used by the
-        normal-form rewriting (the lexicographically largest one)."""
-        if not self.is_regular(v):
-            raise GraphError(f"{v!r} is not regular; no special edge")
-        return self._out[v][-1]
+        normal-form rewriting (the lexicographically largest one), or None
+        at a sink or an infinite emitter, where (CK2) does not apply."""
+        return self._out[v][-1] if self._kind[self.require_vertex(v)] == REGULAR else None
 
     # paths
 
@@ -197,54 +190,24 @@ class Graph:
         """r(p): the range of the last edge, or the source of a trivial path."""
         return self.edges[p.edges[-1]].dst if p.edges else p.source
 
-    def path_vertices(self, p: Path) -> frozenset[str]:
-        verts = {self.require_vertex(p.source)}
-        for name in p.edges:
-            verts.add(self.require_edge(name).dst)
-        return frozenset(verts)
-
     # reachability
 
-    def successors(self, v: str) -> frozenset[str]:
-        out = {self.edges[e].dst for e in self._out[v]}
-        out.update(self.bundles[b].dst for b in self._out_bundles[v])
-        return frozenset(out)
-
-    def predecessors(self, v: str) -> frozenset[str]:
-        pre = {self.edges[e].src for e in self._in[v]}
-        pre.update(self.bundles[b].src for b in self._in_bundles[v])
-        return frozenset(pre)
-
-    def reachable_from(self, start: Iterable[str] | str) -> frozenset[str]:
-        """Reflexive-transitive forward closure along edges and bundles."""
-        todo = [start] if isinstance(start, str) else list(start)
-        seen = set()
-        for v in todo:
-            self.require_vertex(v)
+    def _walk(self, table: Mapping[str, tuple[str, ...]], start: Iterable[str]) -> frozenset[str]:
+        """Reflexive-transitive closure of ``start`` under a successor or
+        predecessor table."""
+        seen = set(start)
+        todo = list(seen)
         while todo:
-            v = todo.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            todo.extend(self.successors(v))
+            for u in table[todo.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
         return frozenset(seen)
 
-    def reaching(self, target: "str | Path") -> frozenset[str]:
-        """M(target): vertices with a path into the target vertex, or into
-        any vertex of the target path (reflexive)."""
-        if isinstance(target, Path):
-            goals = set(self.path_vertices(target))
-        else:
-            goals = {self.require_vertex(target)}
-        todo = list(goals)
-        seen = set()
-        while todo:
-            v = todo.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            todo.extend(self.predecessors(v))
-        return frozenset(seen)
+    def reaching(self, target: str) -> frozenset[str]:
+        """M(target): the vertices with a path into the target vertex
+        (reflexive), by a backward walk over edges and bundles."""
+        return self._walk(self._pred, (self.require_vertex(target),))
 
     # hereditary saturated machinery
 
@@ -268,29 +231,16 @@ class Graph:
             if v in closure:
                 continue
             closure.add(v)
-            todo.extend(self.successors(v))
-            for u in self.predecessors(v):
-                if u not in closure and self.is_regular(u) and all(
-                    self.edges[e].dst in closure for e in self._out[u]
-                ):
+            todo.extend(self._succ[v])
+            for u in self._pred[v]:
+                if u not in closure and self._kind[u] == REGULAR and closure.issuperset(self._succ[u]):
                     todo.append(u)
         return frozenset(closure)
 
-    def is_hereditary(self, H: Iterable[str]) -> bool:
-        Hs = {self.require_vertex(v) for v in H}
-        return all(self.successors(v) <= Hs for v in Hs)
-
-    def is_saturated(self, H: Iterable[str]) -> bool:
-        Hs = {self.require_vertex(v) for v in H}
-        for v in self.vertices:
-            if v in Hs or not self.is_regular(v):
-                continue
-            if all(self.edges[e].dst in Hs for e in self._out[v]):
-                return False
-        return True
-
     def is_hereditary_saturated(self, H: Iterable[str]) -> bool:
-        return self.is_hereditary(H) and self.is_saturated(H)
+        """H is hereditary and saturated iff it is its own closure."""
+        Hs = frozenset(H)
+        return self.extend_hereditary_saturated(frozenset(), Hs) == Hs
 
     def breaking_vertices(self, H: Iterable[str]) -> frozenset[str]:
         """Infinite emitters outside H whose bundles all land in H and which
@@ -300,7 +250,7 @@ class Graph:
             raise NotHereditarySaturatedError(f"{sorted(Hs)} is not hereditary and saturated")
         out = set()
         for v in self.vertices:
-            if v in Hs or self.vertex_kind(v) != INFINITE_EMITTER:
+            if v in Hs or self._kind[v] != INFINITE_EMITTER:
                 continue
             if any(self.bundles[b].dst not in Hs for b in self._out_bundles[v]):
                 continue  # infinitely many edges escape H
@@ -312,7 +262,7 @@ class Graph:
     def satisfies_mt3(self, subset: Iterable[str]) -> bool:
         """MT-3: every pair in the subset flows to a common member."""
         M = [self.require_vertex(v) for v in subset]
-        down = {v: self.reachable_from(v) & set(M) for v in M}
+        down = {v: self._walk(self._succ, (v,)) & set(M) for v in M}
         return all(down[u] & down[v] for u in M for v in M)
 
     # cycles
@@ -339,7 +289,7 @@ class Graph:
         for base in sorted(self.vertices):
             walk(base, base, [], {base})
 
-        vertex_sets = [self.path_vertices(rep) for rep in reps]
+        vertex_sets = [frozenset(self.edges[name].src for name in rep.edges) for rep in reps]
         cycles = []
         for i, rep in enumerate(reps):
             exits: list[str] = []

@@ -123,6 +123,23 @@ def _breaking(g: Graph, H: frozenset) -> set:
     }
 
 
+def brute_mt3(g: Graph, M) -> bool:
+    """MT-3 from the raw edges and bundles: every two members of M reach a
+    common member of M.  Forward reachability is the fixpoint of
+    reach[src] |= reach[dst] over all arrows, from reach[v] = {v}."""
+    arrows = list(g.edges.values()) + list(g.bundles.values())
+    reach = {v: {v} for v in g.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for a in arrows:
+            if not reach[a.dst] <= reach[a.src]:
+                reach[a.src] |= reach[a.dst]
+                changed = True
+    M = frozenset(M)
+    return all(reach[u] & reach[v] & M for u in M for v in M)
+
+
 def brute_admissible(g: Graph) -> list:
     """Every admissible pair (H, S) as frozensets, by testing all 2^n vertex
     subsets for H and all subsets of its breaking vertices for S, ordered
@@ -325,7 +342,7 @@ def relation_elements(g: Graph, field=None):
             )
             out.append((f"CK1[{e1},{e2}]", prod - expected))
     for v in g.vertices:
-        if not g.is_regular(v):
+        if g.vertex_kind(v) != "regular":
             continue
         acc = vert[v]
         for name in g.out_edges(v):
@@ -358,7 +375,7 @@ def random_path_into(rng, g: Graph, r: str, max_len: int = 2):
     """A random path of explicit edges ending at r, walked backwards."""
     edges, src = (), r
     for _ in range(rng.randint(0, max_len)):
-        ins = g.in_edges(src)
+        ins = sorted(n for n, e in g.edges.items() if e.dst == src)
         if not ins:
             break
         name = rng.choice(ins)
@@ -473,7 +490,7 @@ def brute_certificate_for(g: Graph, a_text: str, b_text: str):
                     if g.edges[name].dst not in H:
                         e = AlgebraElement.edge(g, name)
                         wh = wh - e * e.star()
-                for fname in g.in_edges(w):
+                for fname in sorted(n for n, e in g.edges.items() if e.dst == w):
                     f = AlgebraElement.edge(g, fname)
                     if a == one + (wh * f.star()).scale(2) and b == one + (f * wh).scale(2):
                         return BreakingVertexWitness(fname, w), AdmissiblePair(g, H, S)

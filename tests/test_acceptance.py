@@ -229,7 +229,7 @@ def _random_terminal_path(rng, g, terminal, max_len=5):
     edges = []
     cur = terminal
     for _ in range(rng.randint(0, max_len)):
-        incoming = g.in_edges(cur)
+        incoming = sorted(n for n, e in g.edges.items() if e.dst == cur)
         if not incoming:
             break
         name = rng.choice(incoming)
@@ -244,7 +244,7 @@ def _random_rational_vector(rng, module, max_len=4):
     cur = module.rotation_source(rot)
     edges = []
     for _ in range(rng.randint(0, max_len)):
-        incoming = module.graph.in_edges(cur)
+        incoming = sorted(n for n, e in module.graph.edges.items() if e.dst == cur)
         if not incoming:
             break
         name = rng.choice(incoming)

@@ -192,7 +192,8 @@ def test_span_matrix_of_raw_images_matches_matrix_of_phi():
     for cert in certs:
         kinds["breaking_vertex"] += isinstance(cert.witness, BreakingVertexWitness)
         kinds["minted"] += bool(cert.minted)
-        module, basis, phi = _matrix_context(cert)
+        module, basis = _matrix_context(cert)
+        phi = cert.pair.phi
         gens = {"a": cert.a, "A": cert.a_inv, "b": cert.b, "B": cert.b_inv}
         words = {"": AlgebraElement.one(cert.graph, cert.a.field)}
         for word in reduced_words(3):  # depth-first: a word's prefix comes first
@@ -419,7 +420,8 @@ def test_rational_coefficients_are_native_ints():
 
     for name in sorted(examples.ALL):
         for cert in find_free_generators(examples.ALL[name]()):
-            module, basis, phi = _matrix_context(cert)
+            module, basis = _matrix_context(cert)
+            phi = cert.pair.phi
             gens = ((cert.a, cert.a_inv), (cert.b, cert.b_inv))
             for word in reduced_words(3):
                 x = eval_group_word(gens, word)

@@ -1,15 +1,19 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    _breaking,
+    _is_hs,
     _path_end,
     _raw_product,
     brute_admissible,
     brute_cycles,
     brute_hs_closure,
+    brute_mt3,
     brute_reaching,
     random_bundle_graph,
     random_element,
@@ -82,11 +86,6 @@ def test_reaching_examples(toeplitz, double_emitter, loop_with_two_exits):
 def test_reaching_matches_oracle(any_graph):
     for v in any_graph.vertices:
         assert any_graph.reaching(v) == brute_reaching(any_graph, v)
-
-
-def test_reaching_path_target(toeplitz):
-    p = toeplitz.path("u", ["f"])
-    assert toeplitz.reaching(p) == {"u", "v"}
 
 
 def test_reaching_properties(any_graph):
@@ -197,6 +196,41 @@ def test_parallel_edges_make_two_cycles():
         frozenset({"a", "c"}),
     }
     assert all(not c.exclusive for c in report.cycles)
+
+
+def test_graph_queries_match_oracles_on_every_vertex_subset():
+    # hereditary saturation, breaking vertices and MT-3 on every subset, and
+    # vertex kinds on every vertex, against definitions read off the raw
+    # edges and bundles; both answers of each predicate must occur
+    graphs = [examples.ALL[name]() for name in sorted(examples.ALL)]
+    graphs += [random_bundle_graph(random.Random(seed)) for seed in range(40)]
+    outcomes = {"hs": set(), "mt3": set(), "breaking": set()}
+    for g in graphs:
+        for v in g.vertices:
+            if any(b.src == v for b in g.bundles.values()):
+                kind = "infinite_emitter"
+            elif any(e.src == v for e in g.edges.values()):
+                kind = "regular"
+            else:
+                kind = "sink"
+            assert g.vertex_kind(v) == kind, (g, v)
+        for r in range(len(g.vertices) + 1):
+            for combo in combinations(g.vertices, r):
+                H = frozenset(combo)
+                hs = _is_hs(g, H)
+                assert g.is_hereditary_saturated(H) == hs, (g, H)
+                if hs:
+                    B = g.breaking_vertices(H)
+                    assert B == _breaking(g, H), (g, H)
+                    outcomes["breaking"].add(bool(B))
+                else:
+                    with pytest.raises(NotHereditarySaturatedError):
+                        g.breaking_vertices(H)
+                mt3 = brute_mt3(g, H)
+                assert g.satisfies_mt3(H) == mt3, (g, H)
+                outcomes["hs"].add(hs)
+                outcomes["mt3"].add(mt3)
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
 def test_mt3(toeplitz, loop_with_two_exits):
