@@ -288,9 +288,8 @@ def _emit(g, pair, res, target, certs, seen) -> int:
     Breaking-vertex witnesses occur only for type I, whose target is the
     clone sink w' of its one breaking vertex w, so w^H is built once.
     With no explicit witness, one edge is minted from each bundle of g whose
-    range lies outside H, in sorted order, until one yields a witness."""
-    if is_commutative(pair.quotient_graph()).commutative:
-        return 0
+    range lies outside H, in sorted order, until one yields a witness.
+    A commutative quotient has only loops and no bundles: it yields none."""
     work_g, work_pair, minted = g, pair, ()
     found = _witnesses(pair, target, sorted(g.edges))
     for bname in sorted(name for name, b in g.bundles.items() if b.dst not in pair.H):

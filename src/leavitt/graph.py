@@ -260,10 +260,11 @@ class Graph:
         return frozenset(out)
 
     def satisfies_mt3(self, subset: Iterable[str]) -> bool:
-        """MT-3: every pair in the subset flows to a common member."""
-        M = [self.require_vertex(v) for v in subset]
-        down = {v: self._walk(self._succ, (v,)) & set(M) for v in M}
-        return all(down[u] & down[v] for u in M for v in M)
+        """MT-3: every pair in the subset flows to a common member.  For finite
+        M, iff M is empty or some w in M is reached from all, by induction: a
+        member below u(k+1) and below one below u1..uk is below all of them."""
+        M = frozenset(self.require_vertex(v) for v in subset)
+        return not M or any(M <= self._walk(self._pred, (w,)) for w in sorted(M))
 
     # cycles
 
@@ -275,19 +276,25 @@ class Graph:
             return self._cycle_report
         reps: list[Path] = []
         order = {v: i for i, v in enumerate(sorted(self.vertices))}
-
-        def walk(base: str, cur: str, trail: list[str], visited: set[str]):
-            for name in self._out[cur]:
+        for base in sorted(self.vertices):
+            # depth-first, with one trail and one stack of out-edge iterators
+            trail: list[str] = []
+            visited = {base}
+            stack = [iter(self._out[base])]
+            while stack:
+                name = next(stack[-1], None)
+                if name is None:
+                    stack.pop()
+                    if trail:
+                        visited.remove(self.edges[trail.pop()].dst)
+                    continue
                 dst = self.edges[name].dst
                 if dst == base:
-                    reps.append(Path(base, tuple(trail + [name])))
+                    reps.append(Path(base, (*trail, name)))
                 elif dst not in visited and order[dst] > order[base]:
                     visited.add(dst)
-                    walk(base, dst, trail + [name], visited)
-                    visited.remove(dst)
-
-        for base in sorted(self.vertices):
-            walk(base, base, [], {base})
+                    trail.append(name)
+                    stack.append(iter(self._out[dst]))
 
         vertex_sets = [frozenset(self.edges[name].src for name in rep.edges) for rep in reps]
         cycles = []
@@ -394,33 +401,33 @@ def quotient_graph(g: Graph, H: Iterable[str], S: Iterable[str]) -> Graph:
     in B_H\\S additionally get a primed clone e' with r(e') = r(e)'.
     Bundles behave like their member edges.  Clone names come from
     :func:`clone_names` of B_H\\S.  H must be a proper subset: the quotient
-    by the whole vertex set is the zero ring.
+    by the whole vertex set is the zero ring.  The pair is checked as
+    ``ideals.AdmissiblePair`` checks it, and the quotient is that pair's.
     """
+    from .ideals import AdmissiblePair  # ideals imports this module
     Hs = frozenset(g.require_vertex(v) for v in H)
     Ss = frozenset(g.require_vertex(v) for v in S)
-    if not g.is_hereditary_saturated(Hs):
-        raise NotAdmissibleError(f"H={sorted(Hs)} is not hereditary and saturated")
-    if len(Hs) == len(g.vertices):
+    pair = AdmissiblePair(g, Hs)  # the improper ideal is reported before S is checked
+    return (pair.with_S(Ss) if pair.complement else pair).quotient_graph()
+
+
+def _build_quotient(g: Graph, H: frozenset[str], clones: Mapping[str, str]) -> Graph:
+    """The quotient by a checked pair, from H and the clone table of B_H\\S."""
+    if len(H) == len(g.vertices):
         raise NotAdmissibleError(
             "H is the whole vertex set: the quotient is the zero ring, "
             "which is not a unital path algebra"
         )
-    B = g.breaking_vertices(Hs)
-    if not Ss <= B:
-        raise NotAdmissibleError(f"S={sorted(Ss)} is not a subset of the breaking vertices {sorted(B)}")
-    cloned = B - Ss
-    clones = clone_names(g, cloned)
-
-    vertices = [v for v in g.vertices if v not in Hs]
-    vertices += [clones[v] for v in sorted(cloned)]
+    vertices = [v for v in g.vertices if v not in H]
+    vertices += [clones[v] for v in sorted(clones) if v in g._kind]
     pools = []
     for pool in (g.edges, g.bundles):
         kept = []
         for e in pool.values():
-            if e.dst in Hs:
+            if e.dst in H:
                 continue
             kept.append(e)
-            if e.dst in cloned:
+            if e.dst in clones:  # names are unique, so e.dst is a cloned vertex
                 kept.append(Edge(clones[e.name], e.src, clones[e.dst]))
         pools.append(kept)
     return Graph(vertices, *pools)

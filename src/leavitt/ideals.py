@@ -62,7 +62,7 @@ from .errors import (
     TypeIIIMembershipUnsupportedError,
     ZeroConstantTermError,
 )
-from .graph import Graph, Path, clone_names, quotient_graph
+from .graph import Graph, Path, _build_quotient, clone_names
 from .scalars import QQ, ExtensionField, LaurentPoly
 
 DEFAULT_CYCLE_POLY = LaurentPoly.parse("1 + x + x^2")
@@ -116,8 +116,8 @@ class AdmissiblePair:
     def clones(self) -> dict[str, str]:
         """Clone name of each vertex of B_H \\ S and each edge or bundle into it.
 
-        The cached :func:`clone_names` table; :func:`quotient_graph` computes
-        the same table from the same graph and set, so the names agree.
+        The cached :func:`clone_names` table, the pair's only one: phi reads it,
+        and ``quotient_graph`` builds from it with no second check of the pair.
         """
         if self._clones is None:
             self._clones = clone_names(self.graph, self.unresolved)
@@ -125,7 +125,7 @@ class AdmissiblePair:
 
     def quotient_graph(self) -> Graph:
         if self._quotient is None:
-            self._quotient = quotient_graph(self.graph, self.H, self.S)
+            self._quotient = _build_quotient(self.graph, self.H, self.clones)
         return self._quotient
 
     def phi_terms(self, a: AlgebraElement):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -35,7 +36,7 @@ from leavitt.errors import (
     UnknownVertexError,
 )
 from leavitt.freeness import find_free_generators
-from leavitt.ideals import enumerate_admissible
+from leavitt.ideals import AdmissiblePair, enumerate_admissible
 from leavitt.modules import InfiniteEmitterModule, RationalPathModule, SinkModule
 from leavitt.graph import (
     INFINITE_EMITTER,
@@ -291,13 +292,17 @@ def test_quotient_clones_bundles_into_breaking_vertices():
     }
 
 
-def test_clone_names_skip_taken_names():
+def primed_names_graph() -> Graph:
     # a and a' both break for H = {h}; the names a', x' are already taken
-    g = Graph(
+    return Graph(
         ["a", "a'", "h"],
         [("x", "a", "a'"), ("y", "a'", "a"), ("x'", "a'", "a'")],
         [("ba", "a", "h"), ("bb", "a'", "h")],
     )
+
+
+def test_clone_names_skip_taken_names():
+    g = primed_names_graph()
     names = clone_names(g, {"a", "a'"})
     assert names == {"a": "a''", "a'": "a'''", "x": "x''", "x'": "x'''", "y": "y'"}
     q = quotient_graph(g, {"h"}, set())
@@ -312,6 +317,82 @@ def test_clone_names_skip_taken_names():
     }
     # without collisions every clone is the name with one prime
     assert clone_names(examples.double_emitter(), {"w"}) == {"w": "w'", "a": "a'", "f": "f'"}
+
+
+def test_pair_quotient_is_the_checked_quotient():
+    # the pair builds its quotient from its own H and clone table, with no
+    # check; the public function checks (H, S) first and must agree, in order
+    graphs = [examples.ALL[name]() for name in sorted(examples.ALL)]
+    graphs += [random_bundle_graph(random.Random(seed)) for seed in range(40)]
+    graphs.append(primed_names_graph())
+    cloned = 0
+    for g in graphs:
+        names = set(g.vertices) | set(g.edges) | set(g.bundles)
+        for pair in enumerate_admissible(g):
+            if not pair.complement:
+                for build in (pair.quotient_graph, lambda: quotient_graph(g, pair.H, pair.S)):
+                    with pytest.raises(NotAdmissibleError, match="whole vertex set"):
+                        build()
+                continue
+            q = pair.quotient_graph()
+            assert graph_to_json(q) == graph_to_json(quotient_graph(g, pair.H, pair.S)), (g, pair)
+            added = (set(q.vertices) | set(q.edges) | set(q.bundles)) - names
+            assert added == set(pair.clones.values()), (g, pair)
+            cloned += bool(added)
+    assert cloned
+
+
+def test_pair_quotient_runs_no_closure(monkeypatch):
+    # construction checked the pair; building its quotient checks nothing
+    # again, and the public function checks with one closure
+    calls = []
+    real = Graph.extend_hereditary_saturated
+
+    def counted(self, H, seed):
+        calls.append(H)
+        return real(self, H, seed)
+
+    monkeypatch.setattr(Graph, "extend_hereditary_saturated", counted)
+    g = primed_names_graph()
+    for pair in (AdmissiblePair(g, {"h"}), AdmissiblePair(g, {"h"}).with_S({"a"})):
+        calls.clear()
+        pair.quotient_graph()
+        assert calls == []
+        quotient_graph(g, pair.H, pair.S)
+        assert len(calls) == 1
+
+
+def test_quotient_reports_the_improper_ideal_before_s(double_emitter):
+    with pytest.raises(NotAdmissibleError, match="^H is the whole vertex set"):
+        quotient_graph(double_emitter, {"u", "v", "w"}, {"v"})
+    with pytest.raises(NotAdmissibleError) as info:
+        quotient_graph(double_emitter, {"u"}, {"u"})
+    assert str(info.value) == "S=['u'] is not a subset of the breaking vertices ['v', 'w']"
+
+
+def _long_cycle(n: int, extra=()) -> Graph:
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs + list(extra), [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+
+
+def test_mt3_on_a_long_cycle():
+    for g, expected in ((_long_cycle(1200), True), (_long_cycle(1200, ["x"]), False)):
+        start = time.perf_counter()
+        assert g.satisfies_mt3(g.vertices) is expected
+        assert time.perf_counter() - start < 5
+
+
+def test_cycle_report_on_long_paths():
+    n = 1200
+    report = _long_cycle(n).cycle_report()
+    assert len(report.cycles) == 1 and not report.condition_l
+    (cycle,) = report.cycles
+    assert not cycle.has_exit and cycle.exclusive
+    assert cycle.rep == Path("v0", tuple(f"e{i}" for i in range(n)))
+    vs = [f"v{i}" for i in range(n)]
+    path = Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+    assert path.vertex_kind(vs[-1]) == SINK
+    assert path.cycle_report().cycles == () and path.cycle_report().condition_l
 
 
 def test_minting():

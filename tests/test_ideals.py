@@ -14,7 +14,7 @@ from leavitt.errors import (
     ZeroConstantTermError,
 )
 from leavitt.exprs import normalize
-from leavitt import ideals
+from leavitt import graph, ideals
 from leavitt.graph import Graph
 from leavitt.ideals import (
     DEFAULT_CYCLE_POLY,
@@ -52,6 +52,25 @@ def test_with_s_reuses_breaking_vertices(double_emitter, monkeypatch):
     monkeypatch.undo()
     assert pair == AdmissiblePair(double_emitter, {"u"}, {"v"})
     assert pair.quotient_graph() == AdmissiblePair(double_emitter, {"u"}, {"v"}).quotient_graph()
+
+
+def test_pair_names_its_clones_once(double_emitter, monkeypatch):
+    # counted wherever it is looked up: by the pair, or by the quotient builder
+    calls = []
+    real = graph.clone_names
+
+    def counted(g, cloned):
+        calls.append(frozenset(cloned))
+        return real(g, cloned)
+
+    monkeypatch.setattr(graph, "clone_names", counted)
+    monkeypatch.setattr(ideals, "clone_names", counted)
+    pair = AdmissiblePair(double_emitter, {"u"}, {"v"})
+    q = pair.quotient_graph()
+    image = pair.phi(AlgebraElement.edge(double_emitter, "a"))
+    assert image == normalize(q, "a + a'")
+    assert pair.clones == {"w": "w'", "a": "a'", "f": "f'"}
+    assert calls == [frozenset({"w"})]
 
 
 def test_phi_kills_h_and_edges_into_h(double_emitter):
