@@ -44,13 +44,12 @@ from typing import NamedTuple
 
 from . import scalars
 from .errors import (
-    FieldMismatchError,
     MixedGraphsError,
     NotReducedError,
     NotSquareZeroError,
 )
 from .graph import Graph, Path
-from .scalars import QQ, RationalField
+from .scalars import QQ
 
 
 class PathMonomial(NamedTuple):
@@ -110,18 +109,6 @@ def _normalize_terms(g: Graph, items, out: dict | None = None) -> dict:
                     add_term(out, sibling, -coeff)
         add_term(out, mono, coeff)
     return out
-
-
-def _join_fields(a: "AlgebraElement", b: "AlgebraElement"):
-    if a.field == b.field:
-        return a.field
-    if isinstance(a.field, RationalField):
-        return b.field
-    if isinstance(b.field, RationalField):
-        return a.field
-    raise FieldMismatchError(
-        f"cannot combine elements over {a.field!r} and {b.field!r}"
-    )
 
 
 class AlgebraElement:
@@ -187,7 +174,7 @@ class AlgebraElement:
         return not self.terms
 
     def _check_graph(self, other: "AlgebraElement"):
-        if self.graph is not other.graph and self.graph != other.graph:
+        if self.graph != other.graph:
             raise MixedGraphsError("elements live over different graphs")
 
     # arithmetic
@@ -196,7 +183,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_graph(other)
-        field = _join_fields(self, other)
+        field = scalars.join(self.field, other.field)
         a, b = self.with_field(field), other.with_field(field)
         terms = dict(a.terms)
         for m, c in b.terms.items():
@@ -212,10 +199,7 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, k) -> "AlgebraElement":
-        field = self.field
-        if isinstance(k, scalars.ExtensionScalar) and isinstance(field, RationalField):
-            field = k.field
-            return self.with_field(field).scale(k)
+        field = scalars.join(self.field, getattr(k, "field", QQ))
         k = field.coerce(k)
         if not k:
             return AlgebraElement.zero(self.graph, field)
@@ -243,7 +227,7 @@ class AlgebraElement:
         ``_normalize_terms`` together; every other one is added directly.
         """
         self._check_graph(other)
-        field = _join_fields(self, other)
+        field = scalars.join(self.field, other.field)
         a, b = self.with_field(field), other.with_field(field)
         by_source: dict[str, list] = {}
         for m2, c2 in b.terms.items():
@@ -286,7 +270,7 @@ class AlgebraElement:
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraElement)
-            and (self.graph is other.graph or self.graph == other.graph)
+            and self.graph == other.graph
             and self.field == other.field
             and self.terms == other.terms
         )

@@ -173,7 +173,7 @@ def cmd_enumerate(args) -> int:
     g = _load_graph(args.graph)
     rows = []
     for pair in enumerate_admissible(g):
-        verdict = classify(IdealDescriptor(pair)).verdict if pair.complement else "not_primitive"
+        verdict = classify(IdealDescriptor(pair)).verdict
         rows.append({**pair.to_json(), "verdict": verdict})
     payload = {"pairs": rows}
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, add_term
 from .errors import ParseError, UnknownSymbolError
-from .graph import Graph
+from .graph import IDENT, Graph
 from .scalars import QQ, rational_literal
 
 
@@ -67,11 +67,6 @@ class Prod:
 class Neg:
     arg: object
 
-
-# The names this syntax reads as one identifier.  Graph JSON rejects any
-# other vertex, edge or bundle name, so every printed normal form parses back.
-IDENT = r"[A-Za-z_][A-Za-z0-9_#']*"
-IDENT_RE = re.compile(IDENT)
 
 _TOKEN_RE = re.compile(
     rf"""\s*(?:
@@ -251,7 +246,6 @@ def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
         raise ParseError("expression nests too deeply") from None
 
 
-def normalize(g: Graph, source, field=QQ) -> AlgebraElement:
-    """Normalize expression text (or an already-parsed tree) over a graph."""
-    tree = parse_expr(g, source) if isinstance(source, str) else source
-    return evaluate(g, tree, field)
+def normalize(g: Graph, text: str, field=QQ) -> AlgebraElement:
+    """Normalize expression text over a graph; ``evaluate`` takes a parsed tree."""
+    return evaluate(g, parse_expr(g, text), field)

@@ -95,7 +95,7 @@ def is_commutative(g: Graph) -> CommutativityReport:
                 (),
             )
     for bname in sorted(g.bundles):
-        g2, minted = g.with_minted(bname, 1)
+        g2, minted = g.with_minted(bname)
         e = minted[0]
         return CommutativityReport(
             False,
@@ -151,20 +151,6 @@ class BreakingVertexWitness:
         return {"kind": "breaking_vertex", "edge": self.edge, "vertex": self.vertex}
 
 
-def _witness_from_json(data: dict):
-    kind = data.get("kind")
-    if kind == "sink_edge":
-        return SinkEdgeWitness(data["edge"], data["sink"])
-    if kind == "infinite_path_edge":
-        tail = data["tail"]
-        return InfinitePathEdgeWitness(
-            data["edge"], tail["source"], tuple(tail["prefix"]), tuple(tail["cycle"])
-        )
-    if kind == "breaking_vertex":
-        return BreakingVertexWitness(data["edge"], data["vertex"])
-    raise NoWitnessFoundError(f"unknown witness kind {kind!r}")
-
-
 @dataclass
 class FreePairCertificate:
     """Two unipotent units with their inverses, witness data, the ideal used,
@@ -197,36 +183,6 @@ class FreePairCertificate:
         if self.verification is not None:
             out["verification"] = dict(self.verification)
         return out
-
-    @classmethod
-    def from_json(cls, base_graph: Graph, data: dict) -> "FreePairCertificate":
-        minted = tuple(Edge(r["name"], r["src"], r["dst"]) for r in data.get("minted", []))
-        g = base_graph
-        if minted:
-            g = Graph(
-                base_graph.vertices,
-                list(base_graph.edges.values()) + list(minted),
-                list(base_graph.bundles.values()),
-            )
-        pair = AdmissiblePair.from_json(g, data["pair"])
-        cls_data = data.get("classification", {})
-        classification = ClassificationResult(
-            cls_data.get("verdict", ""),
-            cls_data.get("witness"),
-            cls_data.get("transcript", []),
-        )
-        return cls(
-            graph=g,
-            a=normalize(g, data["a"]),
-            a_inv=normalize(g, data["a_inv"]),
-            b=normalize(g, data["b"]),
-            b_inv=normalize(g, data["b_inv"]),
-            witness=_witness_from_json(data["witness"]),
-            pair=pair,
-            classification=classification,
-            minted=minted,
-            verification=data.get("verification"),
-        )
 
 
 # discovery pipeline
@@ -295,7 +251,7 @@ def _emit(g, pair, res, target, certs, seen) -> int:
     for bname in sorted(name for name, b in g.bundles.items() if b.dst not in pair.H):
         if found:
             break
-        work_g, minted = g.with_minted(bname, 1)
+        work_g, minted = g.with_minted(bname)
         work_pair = AdmissiblePair(work_g, pair.H, pair.S)
         found = _witnesses(work_pair, target, [minted[0].name])
     emitted, wh = 0, None

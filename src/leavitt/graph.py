@@ -20,6 +20,7 @@ saturation as well as computing it, and one walk serves both M(v)
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -38,6 +39,11 @@ from .errors import (
 SINK = "sink"
 REGULAR = "regular"
 INFINITE_EMITTER = "infinite_emitter"
+
+# The names the expression syntax reads as one identifier.  Graph JSON rejects
+# any other vertex, edge or bundle name, so every printed normal form parses back.
+IDENT = r"[A-Za-z_][A-Za-z0-9_#']*"
+IDENT_RE = re.compile(IDENT)
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,6 @@ class Cycle:
     has_exit: bool
     exclusive: bool
     exits: tuple[str, ...]
-    vertices: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -271,12 +276,16 @@ class Graph:
     def cycle_report(self) -> CycleReport:
         """All cycles among explicit edges, one representative per rotation
         class (based at the smallest vertex on the cycle), with exits
-        (bundles count) and exclusivity flags."""
+        (bundles count) and exclusivity flags.  A cycle stays inside one
+        strongly connected component, so each base's walk stops at vertices
+        outside its own."""
         if self._cycle_report is not None:
             return self._cycle_report
         reps: list[Path] = []
         order = {v: i for i, v in enumerate(sorted(self.vertices))}
+        component = self._components()
         for base in sorted(self.vertices):
+            here = component[base]
             # depth-first, with one trail and one stack of out-edge iterators
             trail: list[str] = []
             visited = {base}
@@ -291,7 +300,7 @@ class Graph:
                 dst = self.edges[name].dst
                 if dst == base:
                     reps.append(Path(base, (*trail, name)))
-                elif dst not in visited and order[dst] > order[base]:
+                elif dst not in visited and order[dst] > order[base] and component[dst] == here:
                     visited.add(dst)
                     trail.append(name)
                     stack.append(iter(self._out[dst]))
@@ -307,12 +316,47 @@ class Graph:
             exclusive = all(
                 not (vertex_sets[i] & vertex_sets[j]) for j in range(len(reps)) if j != i
             )
-            cycles.append(
-                Cycle(rep, bool(exits), exclusive, tuple(sorted(set(exits))), vertex_sets[i])
-            )
+            cycles.append(Cycle(rep, bool(exits), exclusive, tuple(sorted(set(exits)))))
         report = CycleReport(tuple(cycles), all(c.has_exit for c in cycles))
         self._cycle_report = report
         return report
+
+    def _components(self) -> dict[str, str]:
+        """Strongly connected components: each vertex maps to the root of its
+        component, by Tarjan's algorithm over the successor table, with an
+        explicit stack of (vertex, successor iterator) frames."""
+        index: dict[str, int] = {}
+        low: dict[str, int] = {}
+        root_of: dict[str, str] = {}
+        pending: list[str] = []
+        for start in self.vertices:
+            if start in index:
+                continue
+            index[start] = low[start] = len(index)
+            pending.append(start)
+            frames = [(start, iter(self._succ[start]))]
+            while frames:
+                v, successors = frames[-1]
+                for w in successors:
+                    if w not in index:
+                        index[w] = low[w] = len(index)
+                        pending.append(w)
+                        frames.append((w, iter(self._succ[w])))
+                        break
+                    if w not in root_of:  # still on the pending stack
+                        low[v] = min(low[v], index[w])
+                else:
+                    frames.pop()
+                    if frames:
+                        u = frames[-1][0]
+                        low[u] = min(low[u], low[v])
+                    if low[v] == index[v]:
+                        while True:
+                            w = pending.pop()
+                            root_of[w] = v
+                            if w == v:
+                                break
+        return root_of
 
     def is_cycle(self, p: Path) -> bool:
         """Closed path of positive length with pairwise-distinct sources."""
@@ -327,35 +371,29 @@ class Graph:
 
     # bundle materialization
 
-    def with_minted(self, bundle_name: str, count: int = 1) -> tuple["Graph", tuple[Edge, ...]]:
-        """Materialize ``count`` explicit representative edges from a bundle.
+    def with_minted(self, bundle_name: str) -> tuple["Graph", tuple[Edge, ...]]:
+        """Materialize one explicit representative edge from a bundle: the
+        new graph and a one-tuple of the edge.
 
-        Minted edges are named "<bundle>#<i>", skipping every index whose
-        name is already a vertex, edge or bundle name, so minting never
-        collides.
+        The edge is named "<bundle>#<i>" for the least index i whose name is
+        not already a vertex, edge or bundle name, so minting never collides
+        and minting again from the result gives the next index.
         """
         if bundle_name not in self.bundles:
             raise UnknownEdgeError(f"unknown bundle {bundle_name!r}")
         b = self.bundles[bundle_name]
         taken = set(self.vertices) | set(self.edges) | set(self.bundles)
-        minted = []
         i = 0
-        while len(minted) < count:
-            name = f"{bundle_name}#{i}"
-            if name not in taken:
-                minted.append(Edge(name, b.src, b.dst))
+        while f"{bundle_name}#{i}" in taken:
             i += 1
-        g = Graph(
-            self.vertices,
-            list(self.edges.values()) + minted,
-            list(self.bundles.values()),
-        )
-        return g, tuple(minted)
+        e = Edge(f"{bundle_name}#{i}", b.src, b.dst)
+        g = Graph(self.vertices, [*self.edges.values(), e], self.bundles.values())
+        return g, (e,)
 
     # equality is name-identity on the structure
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Graph)
             and set(self.vertices) == set(other.vertices)
             and self.edges == other.edges
@@ -477,8 +515,6 @@ def graph_from_json(data: Mapping) -> Graph:
         raise SchemaError("empty vertex set rejected (the algebra must be unital and nonzero)")
     edges = _edge_records(data.get("edges", []), "edges")
     bundles = _edge_records(data.get("bundles", []), "bundles")
-    from .exprs import IDENT, IDENT_RE  # exprs imports this module
-
     for label, names in (("vertices", vertices), ("edges", [e.name for e in edges]),
                          ("bundles", [b.name for b in bundles])):
         for name in names:

@@ -141,7 +141,7 @@ class AdmissiblePair:
         monomials of the quotient; any module over the quotient acts on them
         as it acts on their normal form.
         """
-        if a.graph is not self.graph and a.graph != self.graph:
+        if a.graph != self.graph:
             raise NotAdmissibleError("element does not live over this pair's graph")
         self.quotient_graph()  # raises NotAdmissibleError for the improper ideal
         H, clones = self.H, self.clones
@@ -182,10 +182,6 @@ class AdmissiblePair:
 
     def to_json(self) -> dict:
         return {"H": sorted(self.H), "S": sorted(self.S)}
-
-    @classmethod
-    def from_json(cls, graph: Graph, data: dict) -> "AdmissiblePair":
-        return cls(graph, data.get("H", []), data.get("S", []))
 
 
 def _primed(p: Path, clones: dict[str, str], head: str) -> Path:

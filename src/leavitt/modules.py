@@ -45,7 +45,7 @@ from .errors import (
     NotInvariantError,
 )
 from .graph import INFINITE_EMITTER, SINK, Graph, Path
-from .scalars import QQ, ExtensionField, RationalField, _power
+from .scalars import QQ, ExtensionField, _power, join
 
 
 class ModuleVector:
@@ -101,15 +101,13 @@ class _BaseModule:
         return ModuleVector(self, {b: self.field.one})
 
     def _coerce_element(self, a: AlgebraElement) -> AlgebraElement:
-        if a.graph is not self.graph and a.graph != self.graph:
+        if a.graph != self.graph:
             raise MixedGraphsError("element and module live over different graphs")
-        if a.field == self.field:
-            return a
-        if isinstance(a.field, RationalField):
-            return a.with_field(self.field)
-        raise FieldMismatchError(
-            f"element over {a.field!r} cannot act on a module over {self.field!r}"
-        )
+        if join(self.field, a.field) != self.field:
+            raise FieldMismatchError(
+                f"element over {a.field!r} cannot act on a module over {self.field!r}"
+            )
+        return a.with_field(self.field)
 
     def act(self, a: AlgebraElement, x: ModuleVector) -> ModuleVector:
         """Linear extension of the basis action rules."""
@@ -200,16 +198,13 @@ class RationalPathModule(_FinitePathModule):
             raise NotACycleError(f"{cycle} is not a cycle")
         super().__init__(graph, cycle.source, field)
         self.cycle = cycle
-        self._sources = [graph.edges[e].src for e in cycle.edges]
         if prefix is None:
             prefix = graph.trivial_path(cycle.source)
-        self.prefix = graph.path(prefix.source, prefix.edges)
-        if graph.range_of(self.prefix) != cycle.source:
-            raise GraphError(f"prefix {prefix} does not flow into the cycle base")
-        self.base = self.vector_from(self.prefix, 0)
+        self.base = self.basis_path(*prefix)
 
     def rotation_source(self, k: int) -> str:
-        return self._sources[k % len(self._sources)]
+        """The source of the cycle edge at ``k`` (taken mod the length)."""
+        return self.graph.edges[self.cycle.edges[k % len(self.cycle.edges)]].src
 
     def _fold(self, p: Path) -> Path:
         """Drop trailing whole periods: p . c and p name the same infinite path."""
@@ -224,11 +219,8 @@ class RationalPathModule(_FinitePathModule):
 
     def vector_from(self, prefix: Path, rotation: int) -> Path:
         """The basis path of prefix . (cycle from edge ``rotation``)^inf."""
-        rotation %= len(self.cycle.edges)
-        if self.graph.range_of(self.graph.path(*prefix)) != self.rotation_source(rotation):
-            raise GraphError(f"prefix {prefix} does not flow into rotation {rotation}")
-        tail = self.cycle.edges[rotation:]
-        return self._fold(Path(prefix.source, prefix.edges + tail))
+        c = self.cycle.edges
+        return self.basis_path(prefix.source, prefix.edges + c[rotation % len(c):])
 
     def _act_monomial(self, gamma: Path, lam: Path, b: Path):
         c = self.cycle.edges

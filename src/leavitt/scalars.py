@@ -13,14 +13,16 @@ Laurent modulus can be normalized to an ordinary polynomial by clearing
 negative exponents before quotienting.  Products are reduced by one fold
 with the rule x^d = sum of r_i x^i (r_i = -f_i / f_d); inverses solve a
 d x d linear system.  Irreducibility of f is verified up to degree 3
-(degree 2 by its discriminant, degree 3 by the rational root test); higher
+(degree 2 by its discriminant, degree 3 by the rational root test, run as
+a bisection for an integer root of a monic cubic); higher
 degrees are trusted with a warning (an actually-reducible modulus degrades
 K' to a ring, but every identity computed here remains well defined).
 
 :class:`LaurentPoly` holds a parsed modulus and prints residues.
 
-Mixed arithmetic embeds rationals into the extension; combining residues
-of two *different* extensions raises :class:`~leavitt.errors.FieldMismatchError`.
+:func:`join` decides how fields mix, for scalars and for every layer
+above: rationals embed into the extension, and combining residues of two
+*different* extensions raises :class:`~leavitt.errors.FieldMismatchError`.
 """
 
 from __future__ import annotations
@@ -164,42 +166,65 @@ def _power(value, n: int):
 
 
 def _rational_root_exists(coeffs: list[Fraction]) -> bool:
-    """True iff the polynomial has a root in Q (degree >= 1, nonzero coeffs).
+    """True iff a0 + a1 x + a2 x^2 (+ a3 x^3), with a0 and the top
+    coefficient nonzero, has a root in Q.
 
-    A quadratic a0 + a1 x + a2 x^2 has one iff its discriminant is a square;
-    higher degrees try every candidate p/q of the rational root test.
+    After clearing denominators, a quadratic has one iff its discriminant is
+    a square.  A cubic has one iff the monic g(y) = y^3 + a2 y^2 + a1 a3 y +
+    a0 a3^2, which is a3^2 f(y / a3), has an integer root.
     """
     denlcm = 1
     for c in coeffs:
         denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
     ints = [int(c * denlcm) for c in coeffs]
-    a0, an = ints[0], ints[-1]
-    if a0 == 0:
-        return True
     if len(ints) == 3:
-        disc = ints[1] ** 2 - 4 * a0 * an
+        a0, a1, a2 = ints
+        disc = a1 * a1 - 4 * a0 * a2
         return disc >= 0 and isqrt(disc) ** 2 == disc
-    for p in _divisors(abs(a0)):
-        for q in _divisors(abs(an)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    return True
+    a0, a1, a2, a3 = ints
+    return _cubic_has_integer_root(a2, a1 * a3, a0 * a3 * a3)
+
+
+def _cubic_has_integer_root(b: int, c: int, d: int) -> bool:
+    """Whether y^3 + b y^2 + c y + d has an integer root.
+
+    Every root lies within 1 + max(|b|, |c|, |d|).  When b^2 > 3c the
+    derivative 3y^2 + 2by + c has roots r1 < r2, and the cubic is monotone
+    on the integers up to floor(r1), from there to ceil(r2), and from
+    ceil(r2) on; else it is monotone throughout.  Each of those integer
+    ranges holds a root iff the signs at its ends differ or one is zero,
+    and bisection finds it.
+    """
+    def g(y):
+        return ((y + b) * y + c) * y + d
+
+    bound = 1 + max(abs(b), abs(c), abs(d))
+    ranges = [(-bound, bound)]
+    disc = b * b - 3 * c
+    if disc > 0:
+        root = isqrt(disc)
+        root += root * root < disc  # the ceiling of sqrt(disc)
+        lo, hi = (-b - root) // 3, -((b - root) // 3)  # floor(r1), ceil(r2)
+        ranges = [(-bound, lo), (lo + 1, hi - 1), (hi, bound)]
+    for lo, hi in ranges:
+        lo, hi = max(lo, -bound), min(hi, bound)
+        if lo > hi:
+            continue
+        at_lo, at_hi = g(lo), g(hi)
+        if not at_lo or not at_hi:
+            return True
+        if (at_lo > 0) == (at_hi > 0):
+            continue
+        while hi - lo > 1:  # the sign changes between lo and hi
+            mid = (lo + hi) // 2
+            at_mid = g(mid)
+            if not at_mid:
+                return True
+            if (at_mid > 0) == (at_lo > 0):
+                lo = mid
+            else:
+                hi = mid
     return False
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 class RationalField:
@@ -236,6 +261,18 @@ class RationalField:
 QQ = RationalField()
 
 
+def join(f, g):
+    """The field in which scalars over f and over g combine: Q embeds into
+    every extension K', and two different extensions never mix."""
+    if f is g or isinstance(g, RationalField):
+        return f
+    if isinstance(f, RationalField):
+        return g
+    if f == g:  # two presentations of one extension
+        return f
+    raise FieldMismatchError(f"cannot combine scalars over {f!r} and {g!r}")
+
+
 class ExtensionField:
     """K' = Q[x, x^-1] / (f(x)) presented by a normalized modulus.
 
@@ -246,8 +283,6 @@ class ExtensionField:
     """
 
     def __init__(self, modulus: LaurentPoly):
-        if not isinstance(modulus, LaurentPoly):
-            modulus = LaurentPoly.parse(str(modulus))
         if modulus.min_exp < 0:
             modulus = modulus.shift(-modulus.min_exp)
         if not modulus.constant_term:
@@ -281,10 +316,7 @@ class ExtensionField:
 
     def coerce(self, value) -> "ExtensionScalar":
         if isinstance(value, ExtensionScalar):
-            if value.field != self:
-                raise FieldMismatchError(
-                    f"residue mod {value.field.modulus} used in extension mod {self.modulus}"
-                )
+            join(self, value.field)  # raises for a residue of another extension
             return value
         return ExtensionScalar(self, (QQ.coerce(value),) + (0,) * (self.degree - 1))
 
@@ -333,13 +365,7 @@ class ExtensionScalar:
         self.coeffs = coeffs
 
     def _match(self, other) -> "ExtensionScalar | None":
-        if isinstance(other, ExtensionScalar):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot mix residues mod {self.field.modulus} and mod {other.field.modulus}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (ExtensionScalar, int, Fraction)):
             return self.field.coerce(other)
         return None
 

@@ -27,6 +27,7 @@ from leavitt.algebra import (
     invert_unipotent,
 )
 from leavitt.errors import (
+    FieldMismatchError,
     MixedGraphsError,
     NotReducedError,
     NotSquareZeroError,
@@ -377,3 +378,22 @@ def test_paths_and_monomials_agree_across_routes(toeplitz):
     assert absorbed == built == module.base and hash(absorbed) == hash(built)
     image = module.act(AlgebraElement.edge(g, "e"), module.basis_vector(built))
     assert image.terms == {built: 1}
+
+
+def test_rational_elements_join_an_extension(toeplitz):
+    k1 = ExtensionField(LaurentPoly.parse("1 + x + x^2"))
+    x = k1.generator()
+    f = AlgebraElement.edge(toeplitz, "f")
+    scaled = f.scale(x)
+    assert scaled.field is k1 and scaled.terms == {m: x for m in f.terms}
+    total = f + AlgebraElement.vertex(toeplitz, "u", k1)
+    assert total.field is k1 and set(total.terms.values()) == {k1.one}
+
+
+def test_two_extensions_never_mix(toeplitz):
+    k1 = ExtensionField(LaurentPoly.parse("1 + x + x^2"))
+    k2 = ExtensionField(LaurentPoly.parse("2 + x + x^2"))
+    a, b = AlgebraElement.edge(toeplitz, "f", k1), AlgebraElement.vertex(toeplitz, "u", k2)
+    for combine in (lambda: a + b, lambda: a * b, lambda: b * a, lambda: a.scale(k2.generator())):
+        with pytest.raises(FieldMismatchError):
+            combine()

@@ -363,20 +363,6 @@ def test_verify_bad_args(toeplitz):
         verify_free_words(cert, max_len=2, mode="telepathy")
 
 
-def test_certificate_json_roundtrip(toeplitz, double_emitter, bundle_inflow):
-    for g in (toeplitz, double_emitter, bundle_inflow):
-        for cert in find_free_generators(g):
-            verify_free_words(cert, max_len=2, mode="both")
-            data = cert.to_json()
-            again = FreePairCertificate.from_json(g, data)
-            assert again.a == cert.a and again.b == cert.b
-            assert again.a_inv == cert.a_inv and again.b_inv == cert.b_inv
-            assert again.witness == cert.witness
-            assert again.pair == cert.pair
-            assert again.minted == cert.minted
-            assert again.to_json() == data
-
-
 def test_clone_names_avoid_existing_primed_names():
     # w is breaking for H = {u}; its clone cannot be called w' because the
     # graph already has a vertex of that name
@@ -393,10 +379,6 @@ def test_clone_names_avoid_existing_primed_names():
         assert added == set(cert.pair.clones.values())
     for cert in certs:
         assert verify_free_words(cert, 3, "both")["all_nontrivial"]
-        data = cert.to_json()
-        again = FreePairCertificate.from_json(g, data)
-        assert again.to_json() == data
-        assert verify_free_words(again, 3, "both")["all_nontrivial"]
 
 
 def test_infinite_path_witness_tail_is_materialized(chained_loops):

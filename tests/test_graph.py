@@ -389,19 +389,25 @@ def test_cycle_report_on_long_paths():
     (cycle,) = report.cycles
     assert not cycle.has_exit and cycle.exclusive
     assert cycle.rep == Path("v0", tuple(f"e{i}" for i in range(n)))
+    # on a path, each walk stops at the edge of its strongly connected component
+    n = 20_000
     vs = [f"v{i}" for i in range(n)]
     path = Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
     assert path.vertex_kind(vs[-1]) == SINK
+    start = time.perf_counter()
     assert path.cycle_report().cycles == () and path.cycle_report().condition_l
+    assert time.perf_counter() - start < 5
 
 
 def test_minting():
     g = examples.double_emitter()
-    g2, minted = g.with_minted("bv", 2)
+    g1, first = g.with_minted("bv")
+    g2, second = g1.with_minted("bv")
+    minted = first + second
     assert [e.name for e in minted] == ["bv#0", "bv#1"]
     assert all(e.src == "v" and e.dst == "u" for e in minted)
     assert g2.vertex_kind("v") == "infinite_emitter"
-    g3, minted2 = g2.with_minted("bv", 1)
+    g3, minted2 = g2.with_minted("bv")
     assert minted2[0].name == "bv#2"
 
 
@@ -409,8 +415,9 @@ def test_minting_skips_vertex_and_bundle_names():
     as_vertex = Graph(["u", "v", "b#0"], [("e", "u", "u")], [("b", "u", "v")])
     as_bundle = Graph(["u", "v", "w"], [("e", "u", "u")], [("b", "u", "v"), ("b#0", "w", "v")])
     for g in (as_vertex, as_bundle):
-        _, minted = g.with_minted("b", 2)
-        assert [e.name for e in minted] == ["b#1", "b#2"]
+        g1, first = g.with_minted("b")
+        _, second = g1.with_minted("b")
+        assert [e.name for e in first + second] == ["b#1", "b#2"]
         assert find_free_generators(g)
 
 

@@ -473,3 +473,33 @@ def test_finite_action_matches_prefix_walk(case, seed):
         assert {(b.source, b.edges): c for b, c in image.terms.items()} == {
             k: c for k, c in expected.items() if c
         }
+
+
+def test_extension_element_cannot_act_on_a_rational_module(toeplitz, ext_field):
+    m = SinkModule(toeplitz, "v")
+    with pytest.raises(FieldMismatchError):
+        m.act(AlgebraElement.edge(toeplitz, "f", ext_field), m.basis_vector(toeplitz.trivial_path("v")))
+    with pytest.raises(FieldMismatchError):
+        matrix_of(m, invariant_pair(m, "f"), AlgebraElement.zero(toeplitz, ext_field))
+
+
+def _paths_into(g, v, max_len):
+    """Every path of at most ``max_len`` edges that ends at v."""
+    paths = frontier = [g.trivial_path(v)]
+    for _ in range(max_len):
+        frontier = [Path(e.src, (name,) + p.edges)
+                    for p in frontier for name, e in sorted(g.edges.items()) if e.dst == p.source]
+        paths = paths + frontier
+    return paths
+
+
+def test_vector_from_is_the_basis_path_of_the_spelled_path(chained_loops):
+    five = Graph([f"c{i}" for i in range(5)], [(f"e{i}", f"c{i}", f"c{(i + 1) % 5}") for i in range(5)])
+    for g, cycle in ((chained_loops, chained_loops.path("u", ["e"])),
+                     (five, five.path("c0", [f"e{i}" for i in range(5)]))):
+        m = RationalPathModule(g, cycle)
+        n = len(cycle.edges)
+        for r in range(n):
+            for p in _paths_into(g, m.rotation_source(r), 2):
+                assert m.vector_from(p, r) == m.basis_path(p.source, p.edges + cycle.edges[r:])
+                assert m.vector_from(p, r + n) == m.vector_from(p, r)

