@@ -2,8 +2,9 @@
 
 Every noncommutative unital Leavitt path algebra over a characteristic-0
 field contains a non-cyclic free subgroup on two unipotent units 1 + 2t
-with t^2 = 0.  The discovery pipeline enumerates admissible pairs,
-classifies each ideal, keeps those with a noncommutative quotient, and
+with t^2 = 0.  The discovery pipeline classifies the ideals of the pairs
+(V \\ M(w), B_H) and (V \\ M(w), B_H \\ {w}) for each vertex w, the only ones
+that can be primitive, keeps those with a noncommutative quotient, and
 emits certificates through one emitter.  A witness is a non-loop edge f-bar
 of the quotient graph together with its tail: a sink at its range, or an
 eventually periodic path from its range onto a cycle.  The ideal's type
@@ -46,9 +47,9 @@ from .ideals import (
     AdmissiblePair,
     ClassificationResult,
     IdealDescriptor,
+    _maximal_tails,
     breaking_vertex_element,
     classify,
-    enumerate_admissible,
 )
 from .modules import (
     RationalPathModule,
@@ -190,7 +191,7 @@ class FreePairCertificate:
 def find_free_generators(g: Graph) -> list[FreePairCertificate]:
     """Certificates for non-cyclic free subgroups of the unit group.
 
-    Enumerates admissible pairs, classifies each, keeps primitive ideals
+    Classifies the pairs of ``ideals._maximal_tails``, keeps primitive ideals
     with a noncommutative quotient, and emits one certificate per
     qualifying witness edge, deduplicated by generator normal forms.
     Deterministic given the graph.  Raises NoWitnessFound (with the scan
@@ -205,11 +206,8 @@ def find_free_generators(g: Graph) -> list[FreePairCertificate]:
     certs: list[FreePairCertificate] = []
     seen: set = set()
     scanned: list[str] = []
-    for pair in enumerate_admissible(g):
+    for pair in _maximal_tails(g):
         label = f"H={sorted(pair.H)} S={sorted(pair.S)}"
-        if not pair.complement:
-            scanned.append(f"{label}: improper (H is everything)")
-            continue
         res = classify(IdealDescriptor(pair))
         if res.verdict == TYPE_I:
             n = _emit(g, pair, res, pair.clones[res.witness_vertex], certs, seen)
@@ -217,7 +215,7 @@ def find_free_generators(g: Graph) -> list[FreePairCertificate]:
         elif res.verdict == TYPE_II:
             n = _emit(g, pair, res, None, certs, seen)
             scanned.append(f"{label}: type II, {n} certificate(s)")
-        elif pair.S == pair.breaking:
+        else:  # S = B_H, as (H, B_H \ {w}) is type I
             n = 0
             for cyc in pair.quotient_graph().cycle_report().cycles:
                 if cyc.has_exit:
@@ -227,8 +225,6 @@ def find_free_generators(g: Graph) -> list[FreePairCertificate]:
                 if res3.verdict == TYPE_III:
                     n += _emit(g, pair, res3, tuple(cyc.rep.edges), certs, seen)
             scanned.append(f"{label}: graded not primitive, {n} type III certificate(s)")
-        else:
-            scanned.append(f"{label}: not primitive")
     if not certs:
         raise NoWitnessFoundError(
             "no free-generator witness found; scan transcript attached", transcript=scanned

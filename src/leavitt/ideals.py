@@ -39,6 +39,10 @@ Primitive ideals come in three types:
     III  I(H, B_H, f(c)) for an exclusive cycle c whose base vertex sees the
          whole complement, and an irreducible Laurent polynomial f.
 
+In each type the complement of H is M(w) = {v : v >= w} for a vertex w: the
+breaking vertex (I), the cycle's base (III), or a member that MT-3 puts below
+every member, as the complement is closed under predecessors (II).
+
 ``classify`` reproduces this trichotomy with a full condition transcript.
 Membership for type III ideals is out of scope (f(c) lies outside the graded
 kernel); only construction of f(c) and classification are provided.
@@ -62,7 +66,7 @@ from .errors import (
     TypeIIIMembershipUnsupportedError,
     ZeroConstantTermError,
 )
-from .graph import Graph, Path, _build_quotient, clone_names
+from .graph import REGULAR, Graph, Path, _build_quotient, clone_names
 from .scalars import QQ, ExtensionField, LaurentPoly
 
 DEFAULT_CYCLE_POLY = LaurentPoly.parse("1 + x + x^2")
@@ -182,6 +186,9 @@ class AdmissiblePair:
 
     def to_json(self) -> dict:
         return {"H": sorted(self.H), "S": sorted(self.S)}
+
+    def sort_key(self):
+        return len(self.H), sorted(self.H), len(self.S), sorted(self.S)
 
 
 def _primed(p: Path, clones: dict[str, str], head: str) -> Path:
@@ -387,5 +394,20 @@ def enumerate_admissible(g: Graph) -> list[AdmissiblePair]:
         for k in range(1, len(B) + 1):
             for sub in combinations(B, k):
                 pairs.append(pair.with_S(sub))
-    pairs.sort(key=lambda p: (len(p.H), sorted(p.H), len(p.S), sorted(p.S)))
+    pairs.sort(key=AdmissiblePair.sort_key)
     return pairs
+
+
+def _maximal_tails(g: Graph) -> list[AdmissiblePair]:
+    """(V \\ M(w), B_H) and (V \\ M(w), B_H \\ {w}) for each vertex w, in the order
+    of ``enumerate_admissible``.  M(w) is one walk per strongly connected
+    component, skipped where V \\ M(w) is not saturated: w is regular and has
+    no successor in its component, so it lies on no cycle."""
+    comp, pairs = g._components(), []
+    for root in set(comp.values()):
+        if g.vertex_kind(root) == REGULAR and all(comp[s] != root for s in g._succ[root]):
+            continue
+        pair = AdmissiblePair(g, frozenset(g.vertices) - g.reaching(root))
+        B = pair.breaking
+        pairs += [pair.with_S(B)] + [pair.with_S(B - {w}) for w in B if comp[w] == root]
+    return sorted(pairs, key=AdmissiblePair.sort_key)

@@ -123,9 +123,8 @@ def _breaking(g: Graph, H: frozenset) -> set:
     }
 
 
-def brute_mt3(g: Graph, M) -> bool:
-    """MT-3 from the raw edges and bundles: every two members of M reach a
-    common member of M.  Forward reachability is the fixpoint of
+def _brute_reach(g: Graph) -> dict:
+    """Forward reachability from the raw edges and bundles: the fixpoint of
     reach[src] |= reach[dst] over all arrows, from reach[v] = {v}."""
     arrows = list(g.edges.values()) + list(g.bundles.values())
     reach = {v: {v} for v in g.vertices}
@@ -136,8 +135,31 @@ def brute_mt3(g: Graph, M) -> bool:
             if not reach[a.dst] <= reach[a.src]:
                 reach[a.src] |= reach[a.dst]
                 changed = True
+    return reach
+
+
+def brute_mt3(g: Graph, M) -> bool:
+    """MT-3 from the raw edges and bundles: every two members of M reach a
+    common member of M."""
+    reach = _brute_reach(g)
     M = frozenset(M)
     return all(reach[u] & reach[v] & M for u in M for v in M)
+
+
+def brute_maximal_tails(g: Graph) -> list:
+    """The admissible pairs (V \\ M(w), B_H) and (V \\ M(w), B_H \\ {w}) over the
+    vertices w, as frozensets ordered by (|H|, H, |S|, S), with M(w) the
+    vertices that reach w and B_H the largest S of ``brute_admissible``."""
+    reach = _brute_reach(g)
+    admissible = brute_admissible(g)
+    found = set()
+    for w in g.vertices:
+        H = frozenset(v for v in g.vertices if w not in reach[v])
+        if (H, frozenset()) not in admissible:
+            continue
+        B = max((S for K, S in admissible if K == H), key=len)
+        found |= {(H, B), (H, B - {w})}
+    return sorted(found, key=lambda p: (len(p[0]), sorted(p[0]), len(p[1]), sorted(p[1])))
 
 
 def brute_admissible(g: Graph) -> list:

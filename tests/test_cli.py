@@ -359,13 +359,14 @@ def test_deep_nesting_is_a_parse_error(graph_file, capsys, tmp_path):
         assert code == 0 and err == "" and json.loads(out)["normal_form"] == form
 
 
-# 300 parallel edges give 300 certificates; a rose beside 10 isolated
-# vertices gives a NoWitnessFoundError whose scan transcript lists 2,048 pairs.
-# Either JSON is far larger than a pipe buffer.
+# 300 parallel edges give 300 certificates; a rose beside 150 isolated
+# vertices gives a NoWitnessFoundError whose scan transcript lists 151 pairs,
+# each naming about 150 vertices of H.  Either JSON is far larger than a pipe
+# buffer.
 CLOSED_STDOUT_GRAPHS = {
     "certificates": Graph(["u", "v"], [Edge(f"f{i}", "u", "v") for i in range(300)]),
     "error_report": Graph(
-        ["v"] + [f"z{i}" for i in range(10)], [("l0", "v", "v"), ("l1", "v", "v")]
+        ["v"] + [f"z{i}" for i in range(150)], [("l0", "v", "v"), ("l1", "v", "v")]
     ),
 }
 

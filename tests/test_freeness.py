@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 from conftest import _path_end, brute_certificate_for, random_bundle_graph, random_element
-from leavitt import examples, freeness
+from leavitt import examples, ideals
 from leavitt.algebra import AlgebraElement, eval_group_word
 from leavitt.errors import NoWitnessFoundError, NotInvariantError, NotSquareZeroError
 from leavitt.exprs import normalize
@@ -303,9 +304,9 @@ def test_certificate_for_matches_scan_oracle():
 
 def test_certificate_for_never_enumerates(monkeypatch, double_emitter):
     def refuse(g):
-        raise AssertionError("certificate_for enumerated admissible pairs")
+        raise AssertionError("enumerated admissible pairs")
 
-    monkeypatch.setattr(freeness, "enumerate_admissible", refuse)
+    monkeypatch.setattr(ideals, "enumerate_admissible", refuse)
     # Toeplitz plus 17 isolated sinks has 2^17 * 3 admissible pairs
     sinks = [f"z{i}" for i in range(17)]
     g = Graph(["u", "v", *sinks], [("e", "u", "u"), ("f", "u", "v")])
@@ -316,6 +317,25 @@ def test_certificate_for_never_enumerates(monkeypatch, double_emitter):
     assert certificate_for(g, "1+2*f^*", "1+2*f").witness == SinkEdgeWitness("f", "v")
     cert = certificate_for(double_emitter, "1 + 2*(w - f*f^*)*f^*", "1 + 2*f*(w - f*f^*)")
     assert cert.witness == BreakingVertexWitness("f", "w")
+    # discovery visits the maximal tails only: two pairs here, not 3 * 2^17
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        certs = find_free_generators(g)
+        elapsed.append(time.perf_counter() - start)
+    assert [c.witness for c in certs] == [SinkEdgeWitness("f", "v")]
+    assert min(elapsed) < 0.05
+    # 12 looped infinite emitters bundled into one sink: 3^12 + 1 pairs
+    ws = [f"w{i}" for i in range(12)]
+    g = Graph(
+        ["t", *ws],
+        [(f"l{i}", w, w) for i, w in enumerate(ws)],
+        [(f"b{i}", w, "t") for i, w in enumerate(ws)],
+    )
+    certs = find_free_generators(g)
+    assert len(certs) == 13
+    for cert in certs:
+        assert verify_free_words(cert, 3, "both")["all_nontrivial"], cert.witness
 
 
 def test_swapped_certificates_verify_in_both_modes():

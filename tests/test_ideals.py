@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_admissible, brute_phi, random_bundle_graph, random_element, random_monomial_element
+from conftest import (
+    brute_admissible,
+    brute_maximal_tails,
+    brute_phi,
+    random_bundle_graph,
+    random_element,
+    random_monomial_element,
+)
 from leavitt.algebra import AlgebraElement
 from leavitt.errors import (
     NotACycleError,
@@ -14,10 +21,13 @@ from leavitt.errors import (
     ZeroConstantTermError,
 )
 from leavitt.exprs import normalize
-from leavitt import graph, ideals
+from leavitt import examples, graph, ideals
 from leavitt.graph import Graph
 from leavitt.ideals import (
     DEFAULT_CYCLE_POLY,
+    TYPE_I,
+    TYPE_II,
+    TYPE_III,
     AdmissiblePair,
     IdealDescriptor,
     breaking_vertex_element,
@@ -381,6 +391,34 @@ def test_enumerate_admissible_finds_breaking_vertices_once_per_set(monkeypatch):
     assert len(pairs) == 3**k + 1
     assert len(calls) == len(set(calls)) == 2**k + 1
     assert [(p.H, p.S) for p in pairs] == brute_admissible(g)
+
+
+def test_maximal_tails_cover_the_primitive_pairs():
+    # every pair that classify calls type I, II or III (type III: S = B_H and
+    # some exclusive cycle with DEFAULT_CYCLE_POLY) is a candidate, and the
+    # candidates are the raw-edge oracle's, in enumerate_admissible order
+    graphs = [examples.ALL[name]() for name in sorted(examples.ALL)]
+    graphs += [random_bundle_graph(random.Random(seed)) for seed in range(200)]
+    verdicts = set()
+    for g in graphs:
+        candidates = [(p.H, p.S) for p in ideals._maximal_tails(g)]
+        assert candidates == brute_maximal_tails(g), g
+        order = [(p.H, p.S) for p in enumerate_admissible(g)]
+        assert candidates == [key for key in order if key in candidates], g
+        exclusive = [c.rep for c in g.cycle_report().cycles if c.exclusive]
+        for H, S in brute_admissible(g):
+            if len(H) == len(g.vertices):
+                continue
+            pair = AdmissiblePair(g, H, S)
+            descs = [IdealDescriptor(pair)]
+            if S == pair.breaking:
+                descs += [IdealDescriptor(pair, cycle=c, poly=DEFAULT_CYCLE_POLY) for c in exclusive]
+            for desc in descs:
+                verdict = classify(desc).verdict
+                if verdict in (TYPE_I, TYPE_II, TYPE_III):
+                    assert (H, S) in candidates, (g, H, S, verdict)
+                    verdicts.add(verdict)
+    assert verdicts == {TYPE_I, TYPE_II, TYPE_III}
 
 
 def test_pair_json_roundtrip(double_emitter):
