@@ -31,14 +31,13 @@ the bound is all the run certifies.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import _INVERSE_LETTER, AlgebraElement, invert_unipotent
 from .errors import NoWitnessFoundError, NotInvariantError
 from .exprs import normalize
-from .graph import SINK, Cycle, Edge, Graph
+from .graph import SINK, Edge, Graph
 from .ideals import (
     DEFAULT_CYCLE_POLY,
     TYPE_I,
@@ -234,7 +233,7 @@ def find_free_generators(g: Graph) -> list[FreePairCertificate]:
 
 def _emit(g, pair, res, target, certs, seen) -> int:
     """Certificates 1 + t*, 1 + t, t the lift of 2 f-bar, for the quotient
-    edges f-bar with tail ``target`` (see ``_edge_witness``), in the sorted
+    edges f-bar with tail ``target`` (see ``_tails``), in the sorted
     order of their lifts, skipping any t already in ``seen``: the pair is
     a function of t, so a repeat is dropped before it is built.
     Breaking-vertex witnesses occur only for type I, whose target is the
@@ -266,13 +265,15 @@ def _emit(g, pair, res, target, certs, seen) -> int:
 
 
 def _witnesses(pair, target, names) -> list:
-    """(f, witness) for each edge f of ``names`` whose image in the quotient,
-    or whose clone there, is a witness edge for ``target``."""
+    """(f, witness) for each edge f of ``names`` whose image in the quotient
+    is a witness edge for ``target``, or which has a clone there: only type I
+    pairs have clones, and a clone edge ends at their target, the sink w'."""
     q, clones, found = pair.quotient_graph(), pair.clones, []
+    tails = _tails(q, target)
     for f in names:
-        if f in q.edges and (witness := _edge_witness(q, f, target)) is not None:
+        if f in q.edges and (witness := _edge_witness(q, f, tails)) is not None:
             found.append((f, witness))
-        if f in clones and _edge_witness(q, clones[f], target) is not None:
+        if f in clones:
             found.append((f, BreakingVertexWitness(f, pair.graph.edges[f].dst)))
     return found
 
@@ -296,61 +297,52 @@ def _certificate(g, t, witness, pair, classification, minted=(), s=None) -> Free
     )
 
 
-def _edge_witness(q: Graph, fname: str, target: str | tuple[str, ...] | None):
-    """Witness for a non-loop edge of the quotient: its range is a sink, or
-    heads a materialized eventually periodic tail onto a cycle.  ``target``
-    is the tail of the ideal's simple module: a sink name (type I), a
-    cycle's edges (type III), or None for any sink or cycle."""
-    f = q.edges[fname]
-    if f.src == f.dst:
-        return None
+def _tails(q: Graph, target: str | tuple[str, ...] | None) -> dict:
+    """Tails in q onto ``target``, the tail of the ideal's simple module: a
+    sink name (type I), a cycle's edges (type III), or None for any sink or
+    cycle.  A target sink maps to (), a vertex on a target cycle to the first
+    such cycle of ``cycle_report`` and the index of its out-edge there, and a
+    vertex with a path onto one to the least-named edge one step closer (one
+    backward search from the cycle vertices), so following these edges spells
+    the least shortest path, the one a forward search on sorted edges finds."""
     if isinstance(target, str):
-        return SinkEdgeWitness(edge=fname, sink=f.dst) if f.dst == target else None
-    if target is None and q.vertex_kind(f.dst) == SINK:
-        return SinkEdgeWitness(edge=fname, sink=f.dst)
-    hit = _path_to_cycle(q, f.dst, target)
-    if hit is None:
+        return {target: ()}
+    tails: dict = {v: () for v in q.vertices if target is None and q.vertex_kind(v) == SINK}
+    for c in q.cycle_report().cycles:
+        if target is None or frozenset(c.rep.edges) == frozenset(target):
+            for i, name in enumerate(c.rep.edges):
+                tails.setdefault(q.edges[name].src, (c.rep.edges, i))
+    into: dict[str, list[str]] = {}
+    for name, e in q.edges.items():
+        into.setdefault(e.dst, []).append(name)
+    layer = [v for v, tail in tails.items() if tail]
+    while layer:
+        step: dict[str, str] = {}
+        for v in layer:
+            for name in into.get(v, ()):
+                u = q.edges[name].src
+                if u not in tails and (u not in step or name < step[u]):
+                    step[u] = name
+        tails.update(step)
+        layer = list(step)
+    return tails
+
+
+def _edge_witness(q: Graph, fname: str, tails: dict):
+    """Witness for a non-loop edge of the quotient q: its range is a target
+    sink, or heads a materialized eventually periodic tail onto a target
+    cycle, read off the table ``_tails(q, target)``."""
+    f = q.edges[fname]
+    if f.src == f.dst or (tail := tails.get(f.dst)) is None:
         return None
-    prefix, rotated = hit
-    return InfinitePathEdgeWitness(
-        edge=fname, tail_source=f.dst, tail_prefix=prefix, tail_cycle=rotated
-    )
-
-
-def _rotate_cycle(q: Graph, cycle: Cycle, at: str) -> tuple[str, ...]:
-    edges = cycle.rep.edges
-    for i, name in enumerate(edges):
-        if q.edges[name].src == at:
-            return edges[i:] + edges[:i]
-    raise ValueError(f"{at!r} not on cycle {edges}")
-
-
-def _path_to_cycle(q: Graph, start: str, target_cycle: tuple[str, ...] | None):
-    """Shortest explicit-edge path from start onto a cycle (BFS, sorted edges)."""
-    cycles = [
-        c
-        for c in q.cycle_report().cycles
-        if target_cycle is None or frozenset(c.rep.edges) == frozenset(target_cycle)
-    ]
-    on_cycle = {}
-    for c in cycles:
-        for name in c.rep.edges:
-            on_cycle.setdefault(q.edges[name].src, c)
-    if start in on_cycle:
-        return (), _rotate_cycle(q, on_cycle[start], start)
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        v, trail = queue.popleft()
-        for name in q.out_edges(v):
-            dst = q.edges[name].dst
-            if dst in seen:
-                continue
-            seen.add(dst)
-            if dst in on_cycle:
-                return trail + (name,), _rotate_cycle(q, on_cycle[dst], dst)
-            queue.append((dst, trail + (name,)))
-    return None
+    prefix = []
+    while isinstance(tail, str):
+        prefix.append(tail)
+        tail = tails[q.edges[tail].dst]
+    if not tail:
+        return SinkEdgeWitness(edge=fname, sink=f.dst)
+    edges, i = tail
+    return InfinitePathEdgeWitness(fname, f.dst, tuple(prefix), edges[i:] + edges[:i])
 
 
 # bounded verification
@@ -505,7 +497,7 @@ def _recognize(g: Graph, t: AlgebraElement):
     (fname,) = heads[0]
     f = AlgebraElement.edge(g, fname).scale(2)
     if t == f:
-        return _edge_witness(g, fname, None) or _NoWitness(), zero_ideal
+        return _edge_witness(g, fname, _tails(g, None)) or _NoWitness(), zero_ideal
     w = g.edges[fname].dst
     escaping = {m.lam.edges[0] for m in t.terms if m.lam.edges}
     seed = [g.bundles[name].dst for name in g.out_bundles(w)]

@@ -13,8 +13,9 @@ graphs by admissible pairs.  Graphs are immutable, so construction builds
 every structural table once: sorted out-edges and out-bundles, the kind of
 each vertex, and its successor and predecessor vertices over edges and
 bundles.  Every query reads those tables.  One closure decides hereditary
-saturation as well as computing it, and one walk serves both M(v)
-(backwards) and MT-3 (forwards).  All analyses are pure.
+saturation as well as computing it, one backward walk computes M(v), and
+MT-3 takes one such walk, from a member picked by the strongly connected
+components, which are computed once.  All analyses are pure.
 """
 
 from __future__ import annotations
@@ -143,6 +144,7 @@ class Graph:
             for v in self.vertices
         }
         self._cycle_report: CycleReport | None = None
+        self._component_of: dict[str, str] | None = None
 
     # basic queries
 
@@ -197,22 +199,17 @@ class Graph:
 
     # reachability
 
-    def _walk(self, table: Mapping[str, tuple[str, ...]], start: Iterable[str]) -> frozenset[str]:
-        """Reflexive-transitive closure of ``start`` under a successor or
-        predecessor table."""
-        seen = set(start)
-        todo = list(seen)
+    def reaching(self, target: str) -> frozenset[str]:
+        """M(target): the vertices with a path into the target vertex
+        (reflexive), by a backward walk over edges and bundles."""
+        seen = {self.require_vertex(target)}
+        todo = [target]
         while todo:
-            for u in table[todo.pop()]:
+            for u in self._pred[todo.pop()]:
                 if u not in seen:
                     seen.add(u)
                     todo.append(u)
         return frozenset(seen)
-
-    def reaching(self, target: str) -> frozenset[str]:
-        """M(target): the vertices with a path into the target vertex
-        (reflexive), by a backward walk over edges and bundles."""
-        return self._walk(self._pred, (self.require_vertex(target),))
 
     # hereditary saturated machinery
 
@@ -267,9 +264,11 @@ class Graph:
     def satisfies_mt3(self, subset: Iterable[str]) -> bool:
         """MT-3: every pair in the subset flows to a common member.  For finite
         M, iff M is empty or some w in M is reached from all, by induction: a
-        member below u(k+1) and below one below u1..uk is below all of them."""
+        member below u(k+1) and below one below u1..uk is below all of them.
+        Such a w shares the component of the member x of M that closes first
+        (see ``_components``), so one walk back from x decides."""
         M = frozenset(self.require_vertex(v) for v in subset)
-        return not M or any(M <= self._walk(self._pred, (w,)) for w in sorted(M))
+        return not M or M <= self.reaching(next(x for x in self._components() if x in M))
 
     # cycles
 
@@ -324,7 +323,12 @@ class Graph:
     def _components(self) -> dict[str, str]:
         """Strongly connected components: each vertex maps to the root of its
         component, by Tarjan's algorithm over the successor table, with an
-        explicit stack of (vertex, successor iterator) frames."""
+        explicit stack of (vertex, successor iterator) frames.  The dict
+        lists the vertices in the order their components close, and a
+        component closes only after every other component it reaches.
+        Computed once per graph."""
+        if self._component_of is not None:
+            return self._component_of
         index: dict[str, int] = {}
         low: dict[str, int] = {}
         root_of: dict[str, str] = {}
@@ -356,6 +360,7 @@ class Graph:
                             root_of[w] = v
                             if w == v:
                                 break
+        self._component_of = root_of
         return root_of
 
     def is_cycle(self, p: Path) -> bool:

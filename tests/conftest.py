@@ -204,6 +204,57 @@ def brute_cycles(g: Graph):
     return found
 
 
+def brute_edge_witnesses(g: Graph, target=None) -> dict:
+    """The witness of each non-loop edge f with a tail onto ``target``, from
+    the raw edges: f into the target sink (a sink name), f into any sink
+    (None), else the first path from r(f) onto a cycle of ``brute_cycles``
+    (any, or the one with the target's edges) that a forward breadth-first
+    search over sorted out-edges finds, with the first cycle through its
+    landing vertex rotated to start there; cycles are ordered by (least
+    source vertex, edge sequence from it)."""
+    from leavitt.freeness import InfinitePathEdgeWitness, SinkEdgeWitness
+
+    outs = {v: sorted(n for n, e in g.edges.items() if e.src == v) for v in g.vertices}
+    emitters = {b.src for b in g.bundles.values()}
+    cycles = []
+    for edge_set in brute_cycles(g) if not isinstance(target, str) else ():
+        if target is not None and edge_set != frozenset(target):
+            continue
+        at = base = min(g.edges[n].src for n in edge_set)
+        seq = []
+        while len(seq) < len(edge_set):
+            seq.append(next(n for n in edge_set if g.edges[n].src == at))
+            at = g.edges[seq[-1]].dst
+        cycles.append((base, seq))
+    cycles.sort()
+
+    def rotation(v):
+        for _, seq in cycles:
+            for i, name in enumerate(seq):
+                if g.edges[name].src == v:
+                    return tuple(seq[i:] + seq[:i])
+        return None
+
+    found = {}
+    for fname, f in g.edges.items():
+        if f.src == f.dst:
+            continue
+        sink = not outs[f.dst] and f.dst not in emitters
+        if f.dst == target or (target is None and sink):
+            found[fname] = SinkEdgeWitness(fname, f.dst)
+            continue
+        queue, seen = [(f.dst, ())], {f.dst}
+        for v, trail in queue:  # grows while it is read: first in, first out
+            if (cycle := rotation(v)) is not None:
+                found[fname] = InfinitePathEdgeWitness(fname, f.dst, trail, cycle)
+                break
+            for name in outs[v]:
+                if g.edges[name].dst not in seen:
+                    seen.add(g.edges[name].dst)
+                    queue.append((g.edges[name].dst, trail + (name,)))
+    return found
+
+
 # canonical-form oracle: expand an expression tree with no intermediate
 # reduction, then reduce with a shuffled CK2 worklist, from graph data only
 
@@ -488,7 +539,7 @@ def brute_certificate_for(g: Graph, a_text: str, b_text: str):
     ideal.
     """
     from leavitt.exprs import normalize
-    from leavitt.freeness import BreakingVertexWitness, _edge_witness, _NoWitness
+    from leavitt.freeness import BreakingVertexWitness, _NoWitness
     from leavitt.ideals import AdmissiblePair
 
     one = AlgebraElement.one(g)
@@ -498,7 +549,7 @@ def brute_certificate_for(g: Graph, a_text: str, b_text: str):
         for fname in sorted(g.edges):
             f = AlgebraElement.edge(g, fname)
             if a == one + f.star().scale(2) and b == one + f.scale(2):
-                witness = _edge_witness(g, fname, None)
+                witness = brute_edge_witnesses(g).get(fname)
                 if witness is not None:
                     return witness, zero_ideal
                 break

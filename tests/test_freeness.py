@@ -3,7 +3,13 @@ import time
 
 import pytest
 
-from conftest import _path_end, brute_certificate_for, random_bundle_graph, random_element
+from conftest import (
+    _path_end,
+    brute_certificate_for,
+    brute_edge_witnesses,
+    random_bundle_graph,
+    random_element,
+)
 from leavitt import examples, ideals
 from leavitt.algebra import AlgebraElement, eval_group_word
 from leavitt.errors import NoWitnessFoundError, NotInvariantError, NotSquareZeroError
@@ -13,7 +19,9 @@ from leavitt.freeness import (
     FreePairCertificate,
     InfinitePathEdgeWitness,
     SinkEdgeWitness,
+    _edge_witness,
     _matrix_context,
+    _tails,
     certificate_for,
     count_reduced_words,
     find_free_generators,
@@ -411,6 +419,52 @@ def test_infinite_path_witness_tail_is_materialized(chained_loops):
         prefix = g.path(w.tail_source, w.tail_prefix)
         cycle = g.path(_path_end(g, prefix.source, prefix.edges), w.tail_cycle)
         assert cycle.source == _path_end(g, cycle.source, cycle.edges)
+
+
+def test_tails_match_forward_search_oracle():
+    # every quotient discovery builds, with every tail it asks for there: any
+    # sink or cycle, each cycle without exits, and the clone sink of type I
+    graphs = [examples.ALL[name]() for name in sorted(examples.ALL)]
+    graphs += [random_bundle_graph(random.Random(seed)) for seed in range(200)]
+    kinds, prefixes = set(), set()
+    for g in graphs:
+        for pair in ideals._maximal_tails(g):
+            q = pair.quotient_graph()
+            targets = [None] + [c.rep.edges for c in q.cycle_report().cycles if not c.has_exit]
+            targets += [pair.clones[w] for w in sorted(pair.unresolved)]
+            for target in targets:
+                tails = _tails(q, target)
+                got = {f: w for f in q.edges if (w := _edge_witness(q, f, tails)) is not None}
+                assert got == brute_edge_witnesses(q, target), (g, pair.to_json(), target)
+                for w in got.values():
+                    kinds.add(type(w).__name__)
+                    prefixes.add(len(getattr(w, "tail_prefix", ())))
+    assert kinds == {"SinkEdgeWitness", "InfinitePathEdgeWitness"}
+    assert {0, 1, 2} <= prefixes
+
+    # two shortest routes from x onto the loop at c, the later name inserted
+    # first: the tail takes the least-named first edge
+    g = Graph(
+        ["s", "x", "a", "b", "c"],
+        [("f", "s", "x"), ("r2", "x", "a"), ("r1", "x", "b"), ("ta", "a", "c"),
+         ("tb", "b", "c"), ("l", "c", "c")],
+    )
+    expected = InfinitePathEdgeWitness("f", "x", ("r1", "tb"), ("l",))
+    assert _edge_witness(g, "f", _tails(g, None)) == expected
+    assert brute_edge_witnesses(g)["f"] == expected
+
+
+def test_discovery_on_a_long_path():
+    # one search per quotient: a 3,000-vertex path, built afresh each time
+    n, best = 3000, float("inf")
+    vs = [f"v{i}" for i in range(n)]
+    for _ in range(3):
+        start = time.perf_counter()
+        g = Graph(vs, [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+        certs = find_free_generators(g)
+        best = min(best, time.perf_counter() - start)
+        assert [c.witness for c in certs] == [SinkEdgeWitness("e2998", "v2999")]
+    assert best < 1
 
 
 def test_rational_coefficients_are_native_ints():

@@ -23,7 +23,7 @@ from conftest import (
     raw_monomials,
     raw_terms,
 )
-from leavitt import examples
+from leavitt import examples, ideals
 from leavitt.algebra import AlgebraElement
 from leavitt.errors import (
     BundleLoopError,
@@ -199,10 +199,24 @@ def test_parallel_edges_make_two_cycles():
     assert all(not c.exclusive for c in report.cycles)
 
 
-def test_graph_queries_match_oracles_on_every_vertex_subset():
+def _recorded(monkeypatch, name):
+    """Patch the Graph method ``name`` to log (graph, args, result) per call."""
+    calls, original = [], getattr(Graph, name)
+
+    def recording(self, *args):
+        calls.append((self, args, original(self, *args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(Graph, name, recording)
+    return calls
+
+
+def test_graph_queries_match_oracles_on_every_vertex_subset(monkeypatch):
     # hereditary saturation, breaking vertices and MT-3 on every subset, and
     # vertex kinds on every vertex, against definitions read off the raw
-    # edges and bundles; both answers of each predicate must occur
+    # edges and bundles; both answers of each predicate must occur, and MT-3
+    # walks back at most once
+    walks = _recorded(monkeypatch, "reaching")
     graphs = [examples.ALL[name]() for name in sorted(examples.ALL)]
     graphs += [random_bundle_graph(random.Random(seed)) for seed in range(40)]
     outcomes = {"hs": set(), "mt3": set(), "breaking": set()}
@@ -228,7 +242,9 @@ def test_graph_queries_match_oracles_on_every_vertex_subset():
                     with pytest.raises(NotHereditarySaturatedError):
                         g.breaking_vertices(H)
                 mt3 = brute_mt3(g, H)
+                walks.clear()
                 assert g.satisfies_mt3(H) == mt3, (g, H)
+                assert len(walks) <= 1, (g, H)
                 outcomes["hs"].add(hs)
                 outcomes["mt3"].add(mt3)
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
@@ -240,6 +256,18 @@ def test_mt3(toeplitz, loop_with_two_exits):
     two = Graph(["a", "b"])
     assert not two.satisfies_mt3({"a", "b"})
     assert two.satisfies_mt3(set())
+
+
+def test_components_are_computed_once_per_graph(monkeypatch):
+    runs = _recorded(monkeypatch, "_components")
+    for name in sorted(examples.ALL):
+        g = examples.ALL[name]()
+        g.cycle_report()
+        ideals._maximal_tails(g)
+        for _ in range(3):
+            g.satisfies_mt3(g.vertices)
+        mine = [result for graph, _, result in runs if graph is g]
+        assert len(mine) == 5 and all(result is mine[0] for result in mine), name
 
 
 def test_quotient_loop_with_two_exits(loop_with_two_exits):
@@ -375,11 +403,14 @@ def _long_cycle(n: int, extra=()) -> Graph:
     return Graph(vs + list(extra), [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)])
 
 
-def test_mt3_on_a_long_cycle():
+def test_mt3_on_a_long_cycle(monkeypatch):
+    walks = _recorded(monkeypatch, "reaching")
     for g, expected in ((_long_cycle(1200), True), (_long_cycle(1200, ["x"]), False)):
+        walks.clear()
         start = time.perf_counter()
         assert g.satisfies_mt3(g.vertices) is expected
         assert time.perf_counter() - start < 5
+        assert len(walks) == 1
 
 
 def test_cycle_report_on_long_paths():
