@@ -150,11 +150,11 @@ class AlgebraElement:
 
     @classmethod
     def one(cls, g: Graph, field=QQ) -> "AlgebraElement":
-        terms = {}
-        for v in g.vertices:
-            t = g.trivial_path(v)
-            terms[PathMonomial(t, t)] = field.one
-        return cls(g, field, terms)
+        """The sum of the vertices.  Its |V| monomials are built once per
+        graph and kept on it, so each call only fills a dict."""
+        if g._identity is None:
+            g._identity = tuple(PathMonomial(t, t) for t in map(g.trivial_path, g.vertices))
+        return cls(g, field, dict.fromkeys(g._identity, field.one))
 
     @classmethod
     def from_terms(cls, g: Graph, items, field=QQ) -> "AlgebraElement":

@@ -27,6 +27,12 @@ with a cross-check.  Matrices are read straight off the raw quotient images
 quotient element built: the witness module is a module over the quotient,
 so any expression of phi(x) acts as phi(x) does.  A transcript records that
 the bound is all the run certifies.
+
+A word is evaluated as its offset X from 1, never through the |V|-term
+identity: with generator 1 + T, (1 + X)(1 + T) = 1 + (X + T + X T), so each
+step costs what the small parts X and T cost, and the word is 1 iff X = 0.
+The witness module is unital (phi(1) is the quotient's 1, which fixes every
+basis path), so the matrix of 1 + X is I plus the matrix read off X.
 """
 
 from __future__ import annotations
@@ -387,6 +393,12 @@ def _matrix_context(cert: FreePairCertificate):
     return module, invariant_pair(module, w.edge)
 
 
+def _plus_identity(m, unit):
+    """The 2x2 matrix m + I: the matrix of 1 + X when m is that of X."""
+    (p, q), (r, s) = m
+    return (p + unit, q), (r, s + unit)
+
+
 def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "both") -> dict:
     """Exhaustively check all freely reduced words of length <= max_len.
 
@@ -396,6 +408,14 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
     equals the matrix product.  Stops at the first violation.  The returned
     transcript (also stored on the certificate) states the length bound,
     which is all a run of this kind can certify.
+
+    Each word w is kept as its offset X = w - 1, stepping X <- X + T + X T
+    for a letter 1 + T, with the four offsets T taken once per call, so no
+    step touches the |V|-term identity; w = 1 iff X has no terms.  Matrices
+    are read off offsets too: the generator matrices are I plus the matrix
+    of phi(T), and the cross-check compares I plus the matrix of phi(X)
+    with the matrix product.  Both are sound because the witness module is
+    unital: phi(1) is the quotient's 1, which acts as I on the span.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -403,44 +423,48 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
         raise ValueError(f"unknown mode {mode!r}")
     use_alg = mode in ("algebra", "both")
     use_mat = mode in ("matrix", "both")
-    g = cert.graph
-    elems = {"a": cert.a, "A": cert.a_inv, "b": cert.b, "B": cert.b_inv}
-    one = AlgebraElement.one(g, cert.a.field)
-    module = basis = phi_terms = None
+    one = AlgebraElement.one(cert.graph, cert.a.field)
+    offsets = {"a": cert.a - one, "A": cert.a_inv - one, "b": cert.b - one, "B": cert.b_inv - one}
+    module = basis = phi_terms = unit = None
     gen_mats = ident = None
     if use_mat:
         module, basis = _matrix_context(cert)
         phi_terms = cert.pair.phi_terms
-        gen_mats = {ch: span_matrix(module, basis, phi_terms(elems[ch])) for ch in _LETTERS}
+        unit = module.field.one
+        gen_mats = {
+            ch: _plus_identity(span_matrix(module, basis, phi_terms(t)), unit)
+            for ch, t in offsets.items()
+        }
         ident = mat_identity(module.field)
 
     word_count = 0
     failure = None
-    stack = [("", one if use_alg else None, ident if use_mat else None)]
+    stack = [("", None, ident)]
     while stack and failure is None:
-        word, prod, mat = stack.pop()
+        word, x, mat = stack.pop()
         for ch in reversed(_LETTERS):
             if word and _INVERSE_LETTER[word[-1]] == ch:
                 continue
             new_word = word + ch
-            new_prod = (prod * elems[ch] if word else elems[ch]) if use_alg else None
+            t = offsets[ch]
+            new_x = (x + (t + x * t) if word else t) if use_alg else None
             new_mat = mat_mul(mat, gen_mats[ch]) if use_mat else None
             word_count += 1
-            if use_alg and new_prod == one:
+            if use_alg and not new_x.terms:
                 failure = {"word": new_word, "reason": "evaluates to 1 in the algebra"}
                 break
             if use_mat and new_mat == ident:
                 failure = {"word": new_word, "reason": "matrix image is the identity"}
                 break
             if use_alg and use_mat:
-                if span_matrix(module, basis, phi_terms(new_prod)) != new_mat:
+                if _plus_identity(span_matrix(module, basis, phi_terms(new_x)), unit) != new_mat:
                     failure = {
                         "word": new_word,
                         "reason": "matrix of the evaluated word disagrees with the matrix product",
                     }
                     break
             if len(new_word) < max_len:
-                stack.append((new_word, new_prod, new_mat))
+                stack.append((new_word, new_x, new_mat))
 
     transcript = {
         "max_len": max_len,

@@ -145,6 +145,7 @@ class Graph:
         }
         self._cycle_report: CycleReport | None = None
         self._component_of: dict[str, str] | None = None
+        self._identity: tuple | None = None  # the vertex monomials of AlgebraElement.one
 
     # basic queries
 

@@ -250,6 +250,21 @@ def test_involution_random(any_graph):
         assert a.star().star() == a
 
 
+def test_one_builds_its_monomials_once_per_graph(monkeypatch):
+    g = Graph(["u", "v"], [("e", "u", "u"), ("f", "u", "v")])
+    first = AlgebraElement.one(g)
+    calls = []
+    real = Graph.trivial_path
+    monkeypatch.setattr(Graph, "trivial_path", lambda self, v: calls.append(v) or real(self, v))
+    again = AlgebraElement.one(g)
+    field = ExtensionField(LaurentPoly.parse("1 + x + x^2"))
+    over_k = AlgebraElement.one(g, field)
+    assert calls == []
+    assert again == first and again.terms is not first.terms
+    assert first == normalize(g, "u + v")
+    assert set(over_k.terms.values()) == {field.one} and over_k.terms.keys() == first.terms.keys()
+
+
 def test_invert_unipotent(toeplitz):
     t = normalize(toeplitz, "2*f")
     u, u_inv = invert_unipotent(t)

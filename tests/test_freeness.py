@@ -10,7 +10,7 @@ from conftest import (
     random_bundle_graph,
     random_element,
 )
-from leavitt import examples, ideals
+from leavitt import algebra, examples, freeness, ideals
 from leavitt.algebra import AlgebraElement, eval_group_word
 from leavitt.errors import NoWitnessFoundError, NotInvariantError, NotSquareZeroError
 from leavitt.exprs import normalize
@@ -30,8 +30,8 @@ from leavitt.freeness import (
     verify_free_words,
 )
 from leavitt.graph import Graph
-from leavitt.ideals import AdmissiblePair
-from leavitt.modules import matrix_of, span_matrix
+from leavitt.ideals import AdmissiblePair, ClassificationResult
+from leavitt.modules import mat_identity, mat_mul, matrix_of, span_matrix
 
 
 def _pairs(certs):
@@ -274,6 +274,114 @@ def test_verify_detects_violation():
     tr = verify_free_words(cert, max_len=2, mode="both")
     assert not tr["all_nontrivial"]
     assert tr["first_violation"]["word"] == "ab"
+
+
+@pytest.mark.parametrize(
+    "mode, reason",
+    [
+        ("algebra", "evaluates to 1 in the algebra"),
+        ("matrix", "matrix image is the identity"),
+        ("both", "evaluates to 1 in the algebra"),
+    ],
+)
+def test_each_mode_reports_its_own_reason(toeplitz, mode, reason):
+    # a = b = 1 + 2f: the fifth word in DFS order, aB, is 1, and each mode
+    # names the check that caught it (both runs the algebra check first)
+    a = normalize(toeplitz, "1 + 2*f")
+    a_inv = normalize(toeplitz, "1 - 2*f")
+    cert = FreePairCertificate(
+        graph=toeplitz,
+        a=a,
+        a_inv=a_inv,
+        b=a,
+        b_inv=a_inv,
+        witness=SinkEdgeWitness(edge="f", sink="v"),
+        pair=AdmissiblePair(toeplitz, ()),
+        classification=ClassificationResult("unclassified"),
+    )
+    tr = verify_free_words(cert, max_len=3, mode=mode)
+    assert tr["first_violation"] == {"word": "aB", "reason": reason}
+    assert tr["word_count"] == 5 and not tr["all_nontrivial"]
+
+
+def test_cross_check_catches_a_wrong_matrix_product(monkeypatch, toeplitz):
+    # an off-by-one matrix product leaves every word's matrix != I, so only
+    # the cross-check against the evaluated word can catch it, at once
+    def off_by_one(x, y):
+        (p, q), (r, s) = mat_mul(x, y)
+        return (p, q + 1), (r, s)
+
+    monkeypatch.setattr(freeness, "mat_mul", off_by_one)
+    cert = certificate_for(toeplitz, "1 + 2*f^*", "1 + 2*f")
+    tr = verify_free_words(cert, max_len=3, mode="both")
+    assert tr["first_violation"] == {
+        "word": "B",
+        "reason": "matrix of the evaluated word disagrees with the matrix product",
+    }
+    assert tr["word_count"] == 1
+
+
+def test_one_acts_as_the_identity_on_every_witness_span():
+    # the step that lets "both" read the matrix of 1 + X off X alone
+    for cert in _example_and_random_certificates():
+        module, basis = _matrix_context(cert)
+        one = AlgebraElement.one(cert.graph, cert.a.field)
+        assert span_matrix(module, basis, cert.pair.phi_terms(one)) == mat_identity(module.field)
+
+
+def _cycle_with_exit(n):
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    return Graph(vs + ["s"], edges + [("x", "v0", "s")])
+
+
+def _algebra_work(monkeypatch, run):
+    counts = {"_mono_mul": 0, "add_term": 0}
+    with monkeypatch.context() as patch:
+        for name in counts:
+
+            def counted(*args, _real=getattr(algebra, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            patch.setattr(algebra, name, counted)
+        run()
+    return counts
+
+
+@pytest.mark.parametrize("mode", ["algebra", "both"])
+def test_word_loop_work_does_not_grow_with_the_graph(monkeypatch, mode):
+    # words of length 1 are the generator offsets themselves, so L = 1
+    # counts only the per-call set-up, and L = 4 minus L = 1 is the loop
+    loops = []
+    for n in (10, 1000):
+        cert = certificate_for(_cycle_with_exit(n), "1+2*x^*", "1+2*x")
+        work = {
+            L: _algebra_work(monkeypatch, lambda: verify_free_words(cert, L, mode)) for L in (1, 4)
+        }
+        assert verify_free_words(cert, 4, mode)["all_nontrivial"]
+        loops.append({name: work[4][name] - work[1][name] for name in work[4]})
+    assert loops[0] == loops[1]
+    assert loops[0]["_mono_mul"] > 0 and loops[0]["add_term"] > 0
+
+
+@pytest.mark.parametrize("mode", ["algebra", "both"])
+def test_words_never_multiply_by_the_identity(monkeypatch, mode):
+    g = _cycle_with_exit(10)
+    cert = certificate_for(g, "1+2*x^*", "1+2*x")
+    factors = []
+    real = AlgebraElement.mul
+
+    def recorded(self, other):
+        factors.extend((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "mul", recorded)
+    assert verify_free_words(cert, 4, mode)["all_nontrivial"]
+    assert factors
+    for x in factors:
+        trivial = sum(not m.gamma.edges and not m.lam.edges for m in x.terms)
+        assert trivial < len(g.vertices), x
 
 
 def test_certificate_for_and_witness_recovery(toeplitz, double_emitter):
