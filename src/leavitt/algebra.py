@@ -59,7 +59,8 @@ class PathMonomial(NamedTuple):
     lam: Path
 
     def sort_key(self):
-        return self.gamma.sort_key() + self.lam.sort_key()
+        g, lam = self
+        return len(g.edges), g.edges, g.source, len(lam.edges), lam.edges, lam.source
 
     def star(self) -> "PathMonomial":
         return PathMonomial(self.lam, self.gamma)
@@ -276,7 +277,7 @@ class AlgebraElement:
         )
 
     def __hash__(self):
-        return hash((self.field, tuple(sorted(self.terms.items(), key=lambda t: t[0].sort_key()))))
+        return hash((self.field, frozenset(self.terms.items())))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())

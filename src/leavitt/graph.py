@@ -8,20 +8,22 @@ emitter iff it sources at least one bundle; bundle self-loops are rejected
 
 Analyses provided here: vertex kinds, reachability sets M(v), hereditary
 saturated closures, breaking vertices, cycle enumeration with exits and
-exclusivity (condition (L)), the MT-3 common-lower-bound check, and quotient
-graphs by admissible pairs.  Graphs are immutable, so construction builds
-every structural table once: sorted out-edges and out-bundles, the kind of
-each vertex, and its successor and predecessor vertices over edges and
-bundles.  Every query reads those tables.  One closure decides hereditary
-saturation as well as computing it, one backward walk computes M(v), and
-MT-3 takes one such walk, from a member picked by the strongly connected
-components, which are computed once.  All analyses are pure.
+exclusivity (condition (L)), and the MT-3 common-lower-bound check; the
+quotient by an admissible pair is built in ``ideals``, beside phi.  Graphs
+are immutable, so construction builds every structural table once: sorted
+out-edges and out-bundles, the kind of each vertex, and its successor and
+predecessor vertices over edges and bundles.  Every query reads those
+tables.  One closure decides hereditary saturation as well as computing it,
+one backward walk computes M(v), and MT-3 takes one such walk, from a member
+picked by the strongly connected components, which are computed once.  All
+analyses are pure.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -30,7 +32,6 @@ from .errors import (
     DanglingEndpointError,
     DuplicateNameError,
     GraphError,
-    NotAdmissibleError,
     NotHereditarySaturatedError,
     SchemaError,
     UnknownEdgeError,
@@ -66,9 +67,6 @@ class Path(NamedTuple):
 
     source: str
     edges: tuple[str, ...]
-
-    def sort_key(self):
-        return (len(self.edges), self.edges, self.source)
 
     def __str__(self):
         return "·".join(self.edges) if self.edges else self.source
@@ -305,17 +303,16 @@ class Graph:
                     trail.append(name)
                     stack.append(iter(self._out[dst]))
 
-        vertex_sets = [frozenset(self.edges[name].src for name in rep.edges) for rep in reps]
+        # a cycle's sources are distinct, so it is exclusive iff each lies on it alone
+        on_cycles = Counter(self.edges[name].src for rep in reps for name in rep.edges)
         cycles = []
-        for i, rep in enumerate(reps):
+        for rep in reps:
             exits: list[str] = []
             for name in rep.edges:
                 src = self.edges[name].src
                 exits.extend(e for e in self._out[src] if e != name)
                 exits.extend(self._out_bundles[src])
-            exclusive = all(
-                not (vertex_sets[i] & vertex_sets[j]) for j in range(len(reps)) if j != i
-            )
+            exclusive = all(on_cycles[self.edges[name].src] == 1 for name in rep.edges)
             cycles.append(Cycle(rep, bool(exits), exclusive, tuple(sorted(set(exits)))))
         report = CycleReport(tuple(cycles), all(c.has_exit for c in cycles))
         self._cycle_report = report
@@ -415,66 +412,22 @@ class Graph:
         )
 
 
-def clone_names(g: Graph, cloned: Iterable[str]) -> dict[str, str]:
-    """Names of the primed clones a quotient adds for the vertex set ``cloned``.
-
-    Each vertex of ``cloned``, and each edge or bundle with range in it, maps
-    to its clone's name: the name with a prime appended, plus further primes
-    while the result is a name of ``g`` or of an earlier clone.  Vertices
-    come first, then edges and bundles, each in sorted order, so the table is
-    a function of the graph and the set alone.
-    """
-    heads = frozenset(cloned)
-    arrows = [n for pool in (g.edges, g.bundles) for n, e in pool.items() if e.dst in heads]
-    taken = set(g.vertices) | set(g.edges) | set(g.bundles)
-    names = {}
-    for name in sorted(heads) + sorted(arrows):
-        clone = f"{name}'"
-        while clone in taken:
-            clone += "'"
-        taken.add(clone)
-        names[name] = clone
-    return names
-
-
 def quotient_graph(g: Graph, H: Iterable[str], S: Iterable[str]) -> Graph:
     """The quotient graph by an admissible pair (H, S).
 
     Vertices: complement of H plus a primed clone v' for every breaking
     vertex v outside S.  Edges with range in H disappear; edges with range
     in B_H\\S additionally get a primed clone e' with r(e') = r(e)'.
-    Bundles behave like their member edges.  Clone names come from
-    :func:`clone_names` of B_H\\S.  H must be a proper subset: the quotient
-    by the whole vertex set is the zero ring.  The pair is checked as
-    ``ideals.AdmissiblePair`` checks it, and the quotient is that pair's.
+    Bundles behave like their member edges.  H must be a proper subset: the
+    quotient by the whole vertex set is the zero ring.  The checked entry
+    point: ``ideals.AdmissiblePair`` checks the pair, names the clones
+    (``ideals.clone_names`` of B_H\\S) and builds the quotient, beside phi.
     """
     from .ideals import AdmissiblePair  # ideals imports this module
     Hs = frozenset(g.require_vertex(v) for v in H)
     Ss = frozenset(g.require_vertex(v) for v in S)
     pair = AdmissiblePair(g, Hs)  # the improper ideal is reported before S is checked
     return (pair.with_S(Ss) if pair.complement else pair).quotient_graph()
-
-
-def _build_quotient(g: Graph, H: frozenset[str], clones: Mapping[str, str]) -> Graph:
-    """The quotient by a checked pair, from H and the clone table of B_H\\S."""
-    if len(H) == len(g.vertices):
-        raise NotAdmissibleError(
-            "H is the whole vertex set: the quotient is the zero ring, "
-            "which is not a unital path algebra"
-        )
-    vertices = [v for v in g.vertices if v not in H]
-    vertices += [clones[v] for v in sorted(clones) if v in g._kind]
-    pools = []
-    for pool in (g.edges, g.bundles):
-        kept = []
-        for e in pool.values():
-            if e.dst in H:
-                continue
-            kept.append(e)
-            if e.dst in clones:  # names are unique, so e.dst is a cloned vertex
-                kept.append(Edge(clones[e.name], e.src, clones[e.dst]))
-        pools.append(kept)
-    return Graph(vertices, *pools)
 
 
 # JSON schema: {"vertices": [...], "edges": [{"name","src","dst"}...], "bundles": [...]}

@@ -26,7 +26,9 @@ not always basis monomials there (breaking vertices become regular, and
 a clone e' can become the special edge), so one normalization over the
 quotient finishes the job.  ``AdmissiblePair.phi_terms`` yields the raw
 images, which a module over the quotient can act with as they are (see
-``modules.span_matrix``); ``AdmissiblePair.phi`` normalizes them.
+``modules.span_matrix``); ``AdmissiblePair.phi`` normalizes them.  The
+pair builds its quotient graph from the same ``clone_names`` table, so phi
+primes exactly the edges the quotient clones.
 
 Membership in I(H, S) is exactly phi(a) = 0, which is decidable because the
 quotient algebra has canonical normal forms.
@@ -53,6 +55,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
+from typing import Iterable
 
 from .algebra import AlgebraElement, PathMonomial
 from .errors import (
@@ -66,7 +69,7 @@ from .errors import (
     TypeIIIMembershipUnsupportedError,
     ZeroConstantTermError,
 )
-from .graph import REGULAR, Graph, Path, _build_quotient, clone_names
+from .graph import REGULAR, Edge, Graph, Path
 from .scalars import QQ, ExtensionField, LaurentPoly
 
 DEFAULT_CYCLE_POLY = LaurentPoly.parse("1 + x + x^2")
@@ -128,8 +131,27 @@ class AdmissiblePair:
         return self._clones
 
     def quotient_graph(self) -> Graph:
+        """The quotient graph of ``graph.quotient_graph``, built once from ``clones``."""
         if self._quotient is None:
-            self._quotient = _build_quotient(self.graph, self.H, self.clones)
+            g, H, clones = self.graph, self.H, self.clones
+            if len(H) == len(g.vertices):
+                raise NotAdmissibleError(
+                    "H is the whole vertex set: the quotient is the zero ring, "
+                    "which is not a unital path algebra"
+                )
+            vertices = [v for v in g.vertices if v not in H]
+            vertices += [clones[v] for v in sorted(self.unresolved)]
+            pools = []
+            for pool in (g.edges, g.bundles):
+                kept = []
+                for e in pool.values():
+                    if e.dst in H:
+                        continue
+                    kept.append(e)
+                    if e.dst in clones:  # names are unique, so e.dst is a cloned vertex
+                        kept.append(Edge(clones[e.name], e.src, clones[e.dst]))
+                pools.append(kept)
+            self._quotient = Graph(vertices, *pools)
         return self._quotient
 
     def phi_terms(self, a: AlgebraElement):
@@ -189,6 +211,28 @@ class AdmissiblePair:
 
     def sort_key(self):
         return len(self.H), sorted(self.H), len(self.S), sorted(self.S)
+
+
+def clone_names(g: Graph, cloned: Iterable[str]) -> dict[str, str]:
+    """Names of the primed clones a quotient adds for the vertex set ``cloned``.
+
+    Each vertex of ``cloned``, and each edge or bundle with range in it, maps
+    to its clone's name: the name with a prime appended, plus further primes
+    while the result is a name of ``g`` or of an earlier clone.  Vertices
+    come first, then edges and bundles, each in sorted order, so the table is
+    a function of the graph and the set alone.
+    """
+    heads = frozenset(cloned)
+    arrows = [n for pool in (g.edges, g.bundles) for n, e in pool.items() if e.dst in heads]
+    taken = set(g.vertices) | set(g.edges) | set(g.bundles)
+    names = {}
+    for name in sorted(heads) + sorted(arrows):
+        clone = f"{name}'"
+        while clone in taken:
+            clone += "'"
+        taken.add(clone)
+        names[name] = clone
+    return names
 
 
 def _primed(p: Path, clones: dict[str, str], head: str) -> Path:
@@ -363,14 +407,15 @@ def enumerate_admissible(g: Graph) -> list[AdmissiblePair]:
 
     Hereditary saturated sets form a lattice, found by stepping from each
     set H to the closure of H | {v} for every v outside H, starting at the
-    closure of the empty set.  This reaches every such set K: adding the
+    empty set, which is hereditary and saturated because every regular
+    vertex has a successor.  This reaches every such set K: adding the
     vertices of K one at a time never leaves K, because K is closed.  Each
     set H found adds 2^|B_H| pairs; TooLargeError is raised as soon as the
     total passes MAX_PAIRS, before the pairs with nonempty S are built.
     Those come from H's S = {} pair by ``with_S``, so B_H is computed once
     per set.
     """
-    bottom = AdmissiblePair(g, g.hereditary_saturated_closure(()))
+    bottom = AdmissiblePair(g, ())
     found = {bottom.H: bottom}
     total = 2 ** len(bottom.breaking)
     todo = [bottom.H]

@@ -36,14 +36,13 @@ from leavitt.errors import (
     UnknownVertexError,
 )
 from leavitt.freeness import find_free_generators
-from leavitt.ideals import AdmissiblePair, enumerate_admissible
+from leavitt.ideals import AdmissiblePair, clone_names, enumerate_admissible
 from leavitt.modules import InfiniteEmitterModule, RationalPathModule, SinkModule
 from leavitt.graph import (
     INFINITE_EMITTER,
     SINK,
     Graph,
     Path,
-    clone_names,
     graph_from_json,
     graph_to_json,
     parse_graph,
@@ -187,6 +186,39 @@ def test_cycles_match_bruteforce(any_graph):
     for c in report.cycles:
         sources = [any_graph.edges[e].src for e in c.rep.edges]
         assert len(set(sources)) == len(sources)
+
+
+def test_exclusive_matches_pairwise_definition():
+    # a cycle is exclusive iff it shares no vertex with any other cycle,
+    # checked pairwise over the brute-force cycles of every example graph
+    # (each any_graph fixture among them) and of seeded random graphs
+    graphs = [examples.ALL[name]() for name in sorted(examples.ALL)]
+    graphs += [random_bundle_graph(random.Random(seed)) for seed in range(60)]
+    seen = set()
+    for g in graphs:
+        vertex_sets = {c: frozenset(g.edges[name].src for name in c) for c in brute_cycles(g)}
+        expected = {
+            c: all(not (vs & other) for d, other in vertex_sets.items() if d != c)
+            for c, vs in vertex_sets.items()
+        }
+        got = {frozenset(c.rep.edges): c.exclusive for c in g.cycle_report().cycles}
+        assert got == expected, g
+        seen.update(expected.values())
+    assert seen == {True, False}
+
+
+def test_cycle_report_on_many_disjoint_loops():
+    # 3,000 loops, each with an exit to one sink: deciding exclusivity must
+    # stay linear, not compare the 4.5 million pairs of cycles
+    n = 3000
+    vs = [f"v{i}" for i in range(n)]
+    edges = [(f"l{i}", v, v) for i, v in enumerate(vs)] + [(f"x{i}", v, "s") for i, v in enumerate(vs)]
+    g = Graph(vs + ["s"], edges)
+    start = time.perf_counter()
+    report = g.cycle_report()
+    assert time.perf_counter() - start < 1
+    assert len(report.cycles) == n and report.condition_l
+    assert all(c.exclusive and c.exits == (f"x{c.rep.edges[0][1:]}",) for c in report.cycles)
 
 
 def test_parallel_edges_make_two_cycles():
