@@ -224,8 +224,11 @@ class AlgebraElement:
           g l*, a basis monomial, by the same argument;
         * neither extends the other: the product is zero by CK1.
 
-        Only l = r can give a reducible g n*.  Those products go through
-        ``_normalize_terms`` together; every other one is added directly.
+        Two cases are settled before any monomial is built: a right-hand
+        term that is the vertex s(l) leaves g l* itself, and nonempty l and
+        r whose first edges differ give zero by CK1.  Only l = r can give a
+        reducible g n*.  Those products go through ``_normalize_terms``
+        together; every other one is added directly.
         """
         self._check_graph(other)
         field = scalars.join(self.field, other.field)
@@ -237,8 +240,16 @@ class AlgebraElement:
         exact = []
         for m1, c1 in a.terms.items():
             lam = m1.lam
+            first = lam.edges[0] if lam.edges else None
             for m2, c2 in by_source.get(lam.source, ()):
-                if m2.gamma == lam:
+                rho = m2.gamma
+                if not rho.edges:
+                    if not m2.lam.edges:  # the vertex s(l)
+                        add_term(terms, m1, c1 * c2)
+                        continue
+                elif first is not None and rho.edges[0] != first:
+                    continue
+                if rho == lam:
                     exact.append((PathMonomial(m1.gamma, m2.lam), c1 * c2))
                     continue
                 prod = _mono_mul(m1, m2)

@@ -27,7 +27,7 @@ from .scalars import QQ, rational_literal
 
 @dataclass(frozen=True)
 class Lit:
-    value: Fraction
+    value: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,9 @@ def _tokenize(text: str):
             if text[pos:].strip():
                 raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r} at position {pos}")
             break
-        for kind in ("rat", "ident", "ghost", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind if kind != "op" else val, val, m.start(kind)))
-                break
+        kind = m.lastgroup
+        val = m.group(kind)
+        tokens.append((kind if kind != "op" else val, val, m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -166,7 +164,7 @@ class _Parser:
     def resolve(self, name: str, ghost: bool, at: int):
         if name in self.g.edges:
             return GhostSym(name) if ghost else EdgeSym(name)
-        if name in set(self.g.vertices):
+        if name in self.g._kind:  # the vertex table
             if ghost:
                 raise UnknownSymbolError(f"{name!r} is a vertex; ghosts exist only for edges")
             return VertexSym(name)
@@ -198,7 +196,10 @@ def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
     in n rather than copying the partial sum at every node.  Such chains
     and chains of products are walked in a loop, so only parentheses nest
     the recursion; a tree nested past the recursion limit is a
-    :class:`ParseError`.
+    :class:`ParseError`.  The literal factors of a product chain fold into
+    one scalar k, which scales the product of the other factors once at
+    the end (a chain of literals alone is k times the identity), so
+    ``2*e`` multiplies no element by the |V|-term identity.
     """
 
     def walk(node) -> AlgebraElement:
@@ -221,10 +222,18 @@ def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
         while isinstance(node, Prod):
             factors.append(node.right)
             node = node.left
-        result = walk(node)
+        factors.append(node)
+        k, result = 1, None
         for factor in reversed(factors):
-            result = result.mul(walk(factor))
-        return result
+            if isinstance(factor, Lit):
+                k *= factor.value
+            elif result is None:
+                result = walk(factor)
+            else:
+                result = result.mul(walk(factor))
+        if result is None:
+            result = AlgebraElement.one(g, field)
+        return result if k == 1 else result.scale(k)
 
     def signed_sum(node) -> AlgebraElement:
         terms: dict = {}

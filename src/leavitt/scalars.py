@@ -10,9 +10,12 @@ Two kinds of scalars circulate in the package:
 
 Because the constant term of f is a unit, x is invertible mod f, so a
 Laurent modulus can be normalized to an ordinary polynomial by clearing
-negative exponents before quotienting.  Products are reduced by one fold
-with the rule x^d = sum of r_i x^i (r_i = -f_i / f_d); inverses solve a
-d x d linear system.  Irreducibility of f is verified up to degree 3
+negative exponents before quotienting.  A product of two residues has
+degree at most 2d - 2; each field keeps the residues of x^d, ..., x^(2d-2),
+computed once by the rule x^d = sum of r_i x^i (r_i = -f_i / f_d), and a
+product adds its high coefficients back through that table.  Longer
+coefficient lists are folded by the rule itself; inverses solve a d x d
+linear system.  Irreducibility of f is verified up to degree 3
 (degree 2 by its discriminant, degree 3 by the rational root test, run as
 a bisection for an integer root of a monic cubic); higher
 degrees are trusted with a warning (an actually-reducible modulus degrades
@@ -31,6 +34,7 @@ import re
 import warnings
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -52,8 +56,11 @@ _TERM_RE = re.compile(
 )
 
 
-def rational_literal(text: str, at: int) -> Fraction:
-    """Read a written rational "p" or "p/q"; a zero q is a ParseError at ``at``."""
+def rational_literal(text: str, at: int) -> int | Fraction:
+    """Read a written rational "p" (an ``int``) or "p/q"; a zero q is a
+    ParseError at ``at``."""
+    if "/" not in text:
+        return int(text)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -273,6 +280,16 @@ def join(f, g):
     raise FieldMismatchError(f"cannot combine scalars over {f!r} and {g!r}")
 
 
+def _canonical(coeffs: Iterable) -> tuple:
+    """A coefficient tuple with every integral value an ``int``: a tuple of
+    ``int`` is kept as it is, and any other goes through ``QQ.coerce``."""
+    t = tuple(coeffs)
+    for c in t:
+        if type(c) is not int:
+            return tuple(map(QQ.coerce, t))
+    return t
+
+
 class ExtensionField:
     """K' = Q[x, x^-1] / (f(x)) presented by a normalized modulus.
 
@@ -293,6 +310,10 @@ class ExtensionField:
         self.degree = d = modulus.max_exp
         # the reduction rule x^d = sum of r_i x^i over i < d
         self._rule = tuple(QQ.coerce(-modulus[i] / modulus[d]) for i in range(d))
+        # the residues of x^d, ..., x^(2d-2), the powers a product can reach
+        self._high_powers = tuple(
+            self._reduce([0] * k + [1]) for k in range(d, 2 * d - 1)
+        )
         if d <= 3:
             # degree 1 is always irreducible; 2 and 3 exactly when rootless
             if d >= 2 and _rational_root_exists([modulus[i] for i in range(d + 1)]):
@@ -338,7 +359,7 @@ class ExtensionField:
             if k:
                 for i, r in enumerate(rule, top - d):
                     c[i] += k * r
-        return tuple(map(QQ.coerce, c[:d]))
+        return _canonical(c[:d])
 
     def __eq__(self, other):
         return self is other or (isinstance(other, ExtensionField) and self.modulus == other.modulus)
@@ -365,6 +386,8 @@ class ExtensionScalar:
         self.coeffs = coeffs
 
     def _match(self, other) -> "ExtensionScalar | None":
+        if type(other) is ExtensionScalar and other.field is self.field:
+            return other  # a residue of this very field object needs no check
         if isinstance(other, (ExtensionScalar, int, Fraction)):
             return self.field.coerce(other)
         return None
@@ -373,9 +396,7 @@ class ExtensionScalar:
         o = self._match(other)
         if o is None:
             return NotImplemented
-        return ExtensionScalar(
-            self.field, tuple(QQ.coerce(a + b) for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return ExtensionScalar(self.field, _canonical(map(add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -399,12 +420,19 @@ class ExtensionScalar:
         if o is None:
             return NotImplemented
         b = o.coeffs
-        prod = [0] * (2 * len(b) - 1)
+        field = self.field
+        d = field.degree
+        prod = [0] * (2 * d - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, v in enumerate(b, i):
                     prod[j] += a * v
-        return ExtensionScalar(self.field, self.field._reduce(prod))
+        out = prod[:d]
+        for k, residue in zip(prod[d:], field._high_powers):
+            if k:
+                for j, r in enumerate(residue):
+                    out[j] += k * r
+        return ExtensionScalar(field, _canonical(out))
 
     __rmul__ = __mul__
 

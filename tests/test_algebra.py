@@ -32,7 +32,7 @@ from leavitt.errors import (
     NotReducedError,
     NotSquareZeroError,
 )
-from leavitt.exprs import evaluate, normalize
+from leavitt.exprs import evaluate, normalize, parse_expr
 from leavitt.freeness import find_free_generators, verify_free_words
 from leavitt.graph import Graph, Path
 from leavitt.modules import RationalPathModule
@@ -212,6 +212,81 @@ def test_reduction_sees_only_exact_match_products(monkeypatch):
     for cert in certs:
         assert verify_free_words(cert, 3, "both")["all_nontrivial"]
     assert seen["exact"] > 0 and seen["received"] == seen["exact"], seen
+
+
+def _rose(n):
+    return Graph(["v"], [(f"r{i}", "v", "v") for i in range(1, n + 1)])
+
+
+PRODUCT_GRAPHS = {f"R{n}": _rose(n) for n in range(2, 6)}
+PRODUCT_GRAPHS.update((name, make()) for name, make in examples.ALL.items())
+
+
+def _unit_factor(rng, g):
+    # 1 + c e + c f^* (+ c e h^* when r(e) = r(h)), the shape of a unit
+    # offset 1 + T, with seeded letters and coefficients c in {1, 2, 3}
+    e, f, h = (rng.choice(sorted(g.edges)) for _ in range(3))
+    parts = ["1", f"{rng.choice([1, 2, 3])}*{e}", f"{rng.choice([1, 2, 3])}*{f}^*"]
+    if g.edges[h].dst == g.edges[e].dst:
+        parts.append(f"{rng.choice([1, 2, 3])}*{e}*{h}^*")
+    return "(" + " + ".join(parts) + ")"
+
+
+def _six_factor_products(name, count=3):
+    g = PRODUCT_GRAPHS[name]
+    rng = random.Random(f"six factors/{name}")
+    return g, ["*".join(_unit_factor(rng, g) for _ in range(6)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_GRAPHS))
+def test_six_factor_products_match_the_oracle(name):
+    # a product chain of unit-shaped factors, as the normalize benchmark
+    # writes them, against expanding every product on raw monomials and
+    # reducing once; over K' it is the same element with its scalars embedded
+    g, texts = _six_factor_products(name)
+    field = ExtensionField(LaurentPoly.parse("1+x+x^2"))
+    for i, text in enumerate(texts):
+        got = normalize(g, text)
+        assert got.terms == brute_normal_form(g, parse_expr(g, text), i)
+        assert normalize(g, text, field) == got.with_field(field)
+
+
+def test_rose_products_multiply_only_nonzero_non_vertex_pairs(monkeypatch):
+    # mul settles a vertex right-hand term and a CK1 clash of first edges
+    # itself, so over the rose products every pair _mono_mul sees is nonzero
+    seen = []
+    mono_mul = algebra._mono_mul
+
+    def recorded(m1, m2):
+        prod = mono_mul(m1, m2)
+        seen.append((m2, prod))
+        return prod
+
+    monkeypatch.setattr(algebra, "_mono_mul", recorded)
+    for name in ("R2", "R3", "R4", "R5"):
+        g, texts = _six_factor_products(name)
+        for text in texts:
+            normalize(g, text)
+    assert seen
+    assert all(prod is not None for _, prod in seen)
+    assert all(m2.gamma.edges or m2.lam.edges for m2, _ in seen)
+
+
+def test_literal_factors_scale_once(toeplitz, monkeypatch):
+    calls = []
+    mul = AlgebraElement.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "mul", counted)
+    got = normalize(toeplitz, "2*f*3*f^*")
+    assert len(calls) == 1
+    assert normalize(toeplitz, "2*3") == normalize(toeplitz, "u + v").scale(6)
+    assert normalize(toeplitz, "1/2*e*0").is_zero()
+    assert len(calls) == 1
+    assert got == normalize(toeplitz, "f*f^*").scale(6) == normalize(toeplitz, "6*u - 6*e*e^*")
 
 
 def test_star_is_written_down_directly(any_graph, monkeypatch):

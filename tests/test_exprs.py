@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,18 @@ def test_long_sums_and_products_read_back():
     deep = normalize(g, "*".join(["e7"] * 1500))
     assert [len(m.gamma.edges) for m in deep.terms] == [1500]
     assert normalize(g, str(deep)) == deep
+
+
+def test_sum_of_every_vertex_parses_in_linear_time():
+    # each identifier is looked up in the graph's vertex table, not in a
+    # fresh set of all vertices
+    n = 20000
+    vs = [f"v{i}" for i in range(n)]
+    g = Graph(vs, [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+    start = time.perf_counter()
+    got = normalize(g, " + ".join(vs))
+    assert time.perf_counter() - start < 2
+    assert got == AlgebraElement.one(g)
 
 
 # names the identifier pattern allows, biased towards "_", "#" and "'"

@@ -201,6 +201,43 @@ def test_element_matches_long_division(modulus):
         assert field.element(c).coeffs == tuple(_poly_remainder(c, dense))
 
 
+# MODULI plus Laurent moduli and moduli of degree >= 4 (trusted, so warned)
+PRODUCT_MODULI = MODULI + [
+    "x^-1 + 1 + x",
+    "2*x^-2 + x^-1 + 3*x",
+    "x^-2 + 1/3 + x^2",
+    "1 + 2*x^2 + x^4",
+    "x^5 - 3*x + 1/2",
+]
+
+
+@pytest.mark.parametrize("modulus", PRODUCT_MODULI)
+def test_product_matches_long_division(modulus):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        field = ExtensionField(LaurentPoly.parse(modulus))
+        twin = ExtensionField(LaurentPoly.parse(modulus))
+    dense = [field.modulus[i] for i in range(field.degree + 1)]
+    rng = random.Random(f"product/{modulus}")
+    for _ in range(200):
+        a, b = (
+            [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(field.degree)]
+            for _ in range(2)
+        )
+        schoolbook = [0] * (2 * field.degree - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                schoolbook[i + j] += x * y
+        product = field.element(a) * field.element(b)
+        assert product.coeffs == tuple(_poly_remainder(schoolbook, dense))
+        assert all((type(c) is int) == (Fraction(c).denominator == 1) for c in product.coeffs)
+        # a residue of an equal field object goes through the general path
+        assert field.element(a) * twin.element(b) == product
+        assert (field.element(a) + twin.element(b)).coeffs == field.element(
+            [x + y for x, y in zip(a, b)]
+        ).coeffs
+
+
 def test_integral_residues_have_int_coefficients():
     field = ExtensionField(LaurentPoly.parse("1 + x + x^2"))
     x = field.generator()
