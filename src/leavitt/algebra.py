@@ -81,6 +81,14 @@ def add_term(terms: dict, key, coeff) -> None:
         del terms[key]
 
 
+def _identity_monomials(g: Graph) -> tuple:
+    """The vertex monomials v v* of the identity, built once per graph and
+    kept on it."""
+    if g._identity is None:
+        g._identity = tuple(PathMonomial(t, t) for t in map(g.trivial_path, g.vertices))
+    return g._identity
+
+
 def _normalize_terms(g: Graph, items, out: dict | None = None) -> dict:
     """Reduce a raw (monomial, coefficient) stream to basis form, one loop
     per monomial stripping its special tail edges (see the module notes).
@@ -153,9 +161,7 @@ class AlgebraElement:
     def one(cls, g: Graph, field=QQ) -> "AlgebraElement":
         """The sum of the vertices.  Its |V| monomials are built once per
         graph and kept on it, so each call only fills a dict."""
-        if g._identity is None:
-            g._identity = tuple(PathMonomial(t, t) for t in map(g.trivial_path, g.vertices))
-        return cls(g, field, dict.fromkeys(g._identity, field.one))
+        return cls(g, field, dict.fromkeys(_identity_monomials(g), field.one))
 
     @classmethod
     def from_terms(cls, g: Graph, items, field=QQ) -> "AlgebraElement":
@@ -191,6 +197,15 @@ class AlgebraElement:
             add_term(terms, m, c)
         return AlgebraElement(self.graph, field, terms)
 
+    def minus_one(self) -> "AlgebraElement":
+        """self - 1 in one pass: a copy of the terms, from which the |V|
+        vertex monomials of the identity are subtracted."""
+        terms = dict(self.terms)
+        minus = -self.field.one
+        for m in _identity_monomials(self.graph):
+            add_term(terms, m, minus)
+        return AlgebraElement(self.graph, self.field, terms)
+
     def __neg__(self):
         return AlgebraElement(self.graph, self.field, {m: -c for m, c in self.terms.items()})
 
@@ -224,37 +239,63 @@ class AlgebraElement:
           g l*, a basis monomial, by the same argument;
         * neither extends the other: the product is zero by CK1.
 
-        Two cases are settled before any monomial is built: a right-hand
-        term that is the vertex s(l) leaves g l* itself, and nonempty l and
-        r whose first edges differ give zero by CK1.  Only l = r can give a
-        reducible g n*.  Those products go through ``_normalize_terms``
-        together; every other one is added directly.
+        The right factor's terms fall into three groups.  A vertex term v
+        passes every g l* with s(l) = v through, scaled by its coefficient,
+        so these products fill the result first in one pass.  A pure ghost
+        n* (trivial r) composes with every g l* with s(l) = s(n*).  A term
+        with nonempty r is filed under the first edge of r: by CK1 it meets
+        a nonempty l only when l starts with that edge, and it meets a
+        trivial l at its source.  So each g l* tries the ghosts at s(l) and,
+        for nonempty l, the terms under its first edge, or else every term
+        with nonempty r at s(l).  Only l = r can give a reducible g n*.
+        Those products go through ``_normalize_terms`` together; every
+        other one is added directly.
         """
         self._check_graph(other)
         field = scalars.join(self.field, other.field)
         a, b = self.with_field(field), other.with_field(field)
-        by_source: dict[str, list] = {}
+        # vertex and edge names are distinct, so one dict files the terms
+        # with nonempty r under both the first edge of r and s(r)
+        vertex: dict[str, object] = {}  # s -> coefficient of the vertex term s
+        ghosts: dict[str, list] = {}  # s(n*) -> terms n* with trivial r
+        reals: dict[str, list] = {}  # first edge of r, and s(r) -> terms r n*
         for m2, c2 in b.terms.items():
-            by_source.setdefault(m2.gamma.source, []).append((m2, c2))
-        terms: dict[PathMonomial, object] = {}
+            rho = m2.gamma
+            if rho.edges:
+                reals.setdefault(rho.edges[0], []).append((m2, c2))
+                reals.setdefault(rho.source, []).append((m2, c2))
+            elif m2.lam.edges:
+                ghosts.setdefault(rho.source, []).append((m2, c2))
+            else:
+                vertex[rho.source] = c2
+        get = vertex.get
+        terms = {
+            m1: p for m1, c1 in a.terms.items() if (c := get(m1.lam.source)) is not None and (p := c1 * c)
+        }
         exact = []
+        tries: dict[str, list] = {}  # first edge of l, or s(l) for trivial l -> candidates
         for m1, c1 in a.terms.items():
-            lam = m1.lam
-            first = lam.edges[0] if lam.edges else None
-            for m2, c2 in by_source.get(lam.source, ()):
-                rho = m2.gamma
-                if not rho.edges:
-                    if not m2.lam.edges:  # the vertex s(l)
-                        add_term(terms, m1, c1 * c2)
-                        continue
-                elif first is not None and rho.edges[0] != first:
-                    continue
-                if rho == lam:
-                    exact.append((PathMonomial(m1.gamma, m2.lam), c1 * c2))
+            gamma, lam = m1
+            edges = lam.edges
+            key = edges[0] if edges else lam.source
+            pairs = tries.get(key)
+            if pairs is None:
+                pairs = tries[key] = ghosts.get(lam.source, []) + reals.get(key, [])
+            for m2, c2 in pairs:
+                if m2.gamma.edges == edges:  # l = r
+                    exact.append((PathMonomial(gamma, m2.lam), c1 * c2))
                     continue
                 prod = _mono_mul(m1, m2)
-                if prod is not None:
-                    add_term(terms, prod, c1 * c2)
+                if prod is None:
+                    continue
+                k = c1 * c2  # added as add_term would, but inline
+                acc = terms.get(prod)
+                if acc is not None:
+                    k += acc
+                if k:
+                    terms[prod] = k
+                elif acc is not None:
+                    del terms[prod]
         if exact:
             _normalize_terms(self.graph, exact, terms)
         return AlgebraElement(self.graph, field, terms)
@@ -316,6 +357,9 @@ class AlgebraElement:
         return f"<AlgebraElement {self}>"
 
 
+_new = tuple.__new__  # builds a named tuple without its argument checks
+
+
 def _mono_mul(m1: PathMonomial, m2: PathMonomial) -> PathMonomial | None:
     """(g l*)(r n*) for s(l) = s(r): concatenate through the overlap of l
     and r, else zero.
@@ -325,17 +369,17 @@ def _mono_mul(m1: PathMonomial, m2: PathMonomial) -> PathMonomial | None:
     pairs only terms with s(l) = s(r), so the result paths compose and are
     built directly.
     """
-    lam, rho = m1.lam, m2.gamma
-    nl, nr = len(lam.edges), len(rho.edges)
+    gamma, lam = m1
+    rho, ghost = m2
+    lam_edges, rho_edges = lam.edges, rho.edges
+    nl, nr = len(lam_edges), len(rho_edges)
     if nl <= nr:
-        if rho.edges[:nl] != lam.edges:
+        if rho_edges[:nl] != lam_edges:
             return None
-        gamma = m1.gamma
-        return PathMonomial(Path(gamma.source, gamma.edges + rho.edges[nl:]), m2.lam)
-    if lam.edges[:nr] != rho.edges:
+        return _new(PathMonomial, (_new(Path, (gamma.source, gamma.edges + rho_edges[nl:])), ghost))
+    if lam_edges[:nr] != rho_edges:
         return None
-    ghost = m2.lam
-    return PathMonomial(m1.gamma, Path(ghost.source, ghost.edges + lam.edges[nr:]))
+    return _new(PathMonomial, (gamma, _new(Path, (ghost.source, ghost.edges + lam_edges[nr:]))))
 
 
 def invert_unipotent(t: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:

@@ -189,33 +189,48 @@ def parse_expr(g: Graph, text: str):
 
 
 def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
-    """Fold an expression tree into a canonical element.
+    """Fold an expression tree into a canonical element over ``field``.
+
+    The tree is walked over Q and its scalars are embedded into ``field``
+    once, at the end (over Q that returns the element itself).  This is
+    exact: the basis of path monomials g l* is the same over every field,
+    so L_K'(E) = K' (x) L_Q(E), and an expression names only rational
+    literals.  So a normal form over K' costs one rational walk and one
+    pass over its terms, and no product runs K' arithmetic.
 
     A chain of sums, differences and negations adds its summands into one
     term dict, so reading back a printed normal form of n terms is linear
     in n rather than copying the partial sum at every node.  Such chains
     and chains of products are walked in a loop, so only parentheses nest
     the recursion; a tree nested past the recursion limit is a
-    :class:`ParseError`.  The literal factors of a product chain fold into
-    one scalar k, which scales the product of the other factors once at
-    the end (a chain of literals alone is k times the identity), so
-    ``2*e`` multiplies no element by the |V|-term identity.
+    :class:`ParseError`.  The literal factors of a product chain, each
+    with the sign of any negations around it, fold into one scalar k,
+    which scales the product of the other factors once at the end (a chain
+    of literals alone is k times the identity), so neither ``2*e`` nor
+    ``-2*e`` multiplies an element by the |V|-term identity.
     """
 
     def walk(node) -> AlgebraElement:
         if isinstance(node, Lit):
-            return AlgebraElement.one(g, field).scale(node.value)
+            return AlgebraElement.one(g).scale(node.value)
         if isinstance(node, VertexSym):
-            return AlgebraElement.vertex(g, node.name, field)
+            return AlgebraElement.vertex(g, node.name)
         if isinstance(node, EdgeSym):
-            return AlgebraElement.edge(g, node.name, field)
+            return AlgebraElement.edge(g, node.name)
         if isinstance(node, GhostSym):
-            return AlgebraElement.ghost(g, node.name, field)
+            return AlgebraElement.ghost(g, node.name)
         if isinstance(node, Prod):
             return product(node)
         if isinstance(node, (Sum, Diff, Neg)):
             return signed_sum(node)
         raise TypeError(f"not an expression node: {node!r}")
+
+    def literal(node):
+        """The value of a Lit under a chain of Negs, else None."""
+        sign = 1
+        while isinstance(node, Neg):
+            node, sign = node.arg, -sign
+        return sign * node.value if isinstance(node, Lit) else None
 
     def product(node) -> AlgebraElement:
         factors = []
@@ -225,14 +240,15 @@ def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
         factors.append(node)
         k, result = 1, None
         for factor in reversed(factors):
-            if isinstance(factor, Lit):
-                k *= factor.value
+            value = literal(factor)
+            if value is not None:
+                k *= value
             elif result is None:
                 result = walk(factor)
             else:
                 result = result.mul(walk(factor))
         if result is None:
-            result = AlgebraElement.one(g, field)
+            result = AlgebraElement.one(g)
         return result if k == 1 else result.scale(k)
 
     def signed_sum(node) -> AlgebraElement:
@@ -247,10 +263,10 @@ def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
             else:
                 for m, c in walk(node).terms.items():
                     add_term(terms, m, -c if negate else c)
-        return AlgebraElement(g, field, terms)
+        return AlgebraElement(g, QQ, terms)
 
     try:
-        return walk(tree)
+        return walk(tree).with_field(field)
     except RecursionError:
         raise ParseError("expression nests too deeply") from None
 

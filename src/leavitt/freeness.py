@@ -38,9 +38,10 @@ basis path), so the matrix of 1 + X is I plus the matrix read off X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
-from .algebra import _INVERSE_LETTER, AlgebraElement, invert_unipotent
+from .algebra import _INVERSE_LETTER, AlgebraElement, add_term, invert_unipotent
 from .errors import NoWitnessFoundError, NotInvariantError
 from .exprs import normalize
 from .graph import SINK, Edge, Graph
@@ -410,8 +411,10 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
     which is all a run of this kind can certify.
 
     Each word w is kept as its offset X = w - 1, stepping X <- X + T + X T
-    for a letter 1 + T, with the four offsets T taken once per call, so no
-    step touches the |V|-term identity; w = 1 iff X has no terms.  Matrices
+    for a letter 1 + T, with the four offsets T taken once per call, each
+    in one pass over its unit's terms, so no step touches the |V|-term
+    identity; w = 1 iff X has no terms.  A step adds X and T into the
+    fresh term dict of the product X T.  Matrices
     are read off offsets too: the generator matrices are I plus the matrix
     of phi(T), and the cross-check compares I plus the matrix of phi(X)
     with the matrix product.  Both are sound because the witness module is
@@ -423,8 +426,7 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
         raise ValueError(f"unknown mode {mode!r}")
     use_alg = mode in ("algebra", "both")
     use_mat = mode in ("matrix", "both")
-    one = AlgebraElement.one(cert.graph, cert.a.field)
-    offsets = {"a": cert.a - one, "A": cert.a_inv - one, "b": cert.b - one, "B": cert.b_inv - one}
+    offsets = {ch: u.minus_one() for ch, u in zip(_LETTERS, (cert.a, cert.a_inv, cert.b, cert.b_inv))}
     module = basis = phi_terms = unit = None
     gen_mats = ident = None
     if use_mat:
@@ -447,7 +449,13 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
                 continue
             new_word = word + ch
             t = offsets[ch]
-            new_x = (x + (t + x * t) if word else t) if use_alg else None
+            new_x = None
+            if use_alg:
+                new_x = t
+                if word:  # X + T + X T, added into the fresh dict of X T
+                    new_x = x.mul(t)
+                    for m, c in chain(x.terms.items(), t.terms.items()):
+                        add_term(new_x.terms, m, c)
             new_mat = mat_mul(mat, gen_mats[ch]) if use_mat else None
             word_count += 1
             if use_alg and not new_x.terms:
@@ -493,8 +501,7 @@ def certificate_for(g: Graph, a_text: str, b_text: str) -> FreePairCertificate:
     """
     a = normalize(g, a_text)
     b = normalize(g, b_text)
-    one = AlgebraElement.one(g)
-    s, t = a - one, b - one
+    s, t = a.minus_one(), b.minus_one()
     unclassified = ClassificationResult("unclassified", transcript=[])
     if s != t.star():
         return _certificate(g, t, _NoWitness(), AdmissiblePair(g, ()), unclassified, s=s)

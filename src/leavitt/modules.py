@@ -122,13 +122,15 @@ class _BaseModule:
         """The term loop: for each column (b, c, out), add c times the image
         of the basis path b under the (monomial, coefficient) stream
         ``items`` into the dict ``out``; c = None stands for 1.  The
-        monomials need not be basis monomials, and ``items`` is read once."""
+        monomials need not be basis monomials, and ``items`` is read once.
+        The columns are grouped by the source of b first: g l* kills every
+        path not starting at s(l), so a term visits only the group at s(l)."""
         act_monomial = self._act_monomial
+        by_source: dict[str, list] = {}
+        for column in columns:
+            by_source.setdefault(column[0].source, []).append(column)
         for (gamma, lam), coeff in items:
-            source = lam.source
-            for b, c, out in columns:
-                if b.source != source:  # g l* kills every path not starting at s(l)
-                    continue
+            for b, c, out in by_source.get(lam.source, ()):
                 hit = act_monomial(gamma, lam, b)
                 if hit is None:
                     continue

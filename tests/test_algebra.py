@@ -36,7 +36,7 @@ from leavitt.exprs import evaluate, normalize, parse_expr
 from leavitt.freeness import find_free_generators, verify_free_words
 from leavitt.graph import Graph, Path
 from leavitt.modules import RationalPathModule
-from leavitt.scalars import ExtensionField, LaurentPoly
+from leavitt.scalars import ExtensionField, ExtensionScalar, LaurentPoly
 
 
 def test_ck1_annihilation(toeplitz):
@@ -249,6 +249,47 @@ def test_six_factor_products_match_the_oracle(name):
         got = normalize(g, text)
         assert got.terms == brute_normal_form(g, parse_expr(g, text), i)
         assert normalize(g, text, field) == got.with_field(field)
+
+
+def test_rose_products_over_an_extension_multiply_no_extension_scalars(monkeypatch):
+    # evaluation runs over Q and embeds the scalars once at the end, so the
+    # products of the normalize benchmark's shape make no K' products
+    field = ExtensionField(LaurentPoly.parse("1+x+x^2"))
+    rational = {}
+    for name in ("R2", "R3", "R4", "R5"):
+        g, texts = _six_factor_products(name)
+        rational[name] = [normalize(g, text) for text in texts]
+    calls = []
+    mul = ExtensionScalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(ExtensionScalar, "__mul__", counted)
+    monkeypatch.setattr(ExtensionScalar, "__rmul__", counted)
+    for name in ("R2", "R3", "R4", "R5"):
+        g, texts = _six_factor_products(name)
+        for text, want in zip(texts, rational[name]):
+            got = normalize(g, text, field)
+            assert got.field is field and got == want.with_field(field)
+    assert calls == []
+
+
+@pytest.mark.parametrize("right", ["2*u + 3*e*e^*", "u - 5*v + f", "3*v - f^*", "u + v + e"])
+@pytest.mark.parametrize("extension", [False, True])
+def test_products_with_a_partial_or_uneven_vertex_part_match_the_oracle(toeplitz, right, extension):
+    # a right factor whose vertex terms cover only some sources, or carry
+    # different coefficients, passes each g l* through with its own scalar
+    rng = random.Random(f"{right}/{extension}")
+    y = normalize(toeplitz, right)
+    for seed in range(12):
+        x = random_element(rng, toeplitz)
+        if extension:
+            x = x.scale(_random_cubic_unit(rng))
+        for left, other in ((x, y), (y, x)):
+            raw = raw_monomials(_raw_product(raw_terms(left), raw_terms(other)))
+            assert left.mul(other).terms == shuffled_reduction(toeplitz, raw, seed)
 
 
 def test_rose_products_multiply_only_nonzero_non_vertex_pairs(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_element
+from conftest import brute_normal_form, random_bundle_graph, random_element, random_expr_tree
 from leavitt.algebra import AlgebraElement
 from leavitt.errors import ParseError, UnknownSymbolError
 from leavitt.exprs import (
@@ -13,6 +13,7 @@ from leavitt.exprs import (
     EdgeSym,
     GhostSym,
     Lit,
+    Neg,
     Prod,
     Sum,
     VertexSym,
@@ -21,6 +22,7 @@ from leavitt.exprs import (
     parse_expr,
 )
 from leavitt.graph import Graph, graph_from_json, graph_to_json
+from leavitt.scalars import ExtensionField, LaurentPoly
 
 
 def test_parse_shapes(toeplitz):
@@ -144,3 +146,61 @@ def test_print_parse_roundtrip_on_random_json_names(names, seed):
         for _ in range(4):
             elem = random_element(rng, h)
             assert normalize(h, str(elem)) == elem
+
+
+@pytest.mark.parametrize("text, k", [("-2*e1", -2), ("(-2)*e1", -2), ("--2*e1", 2)])
+def test_negated_literal_factors_fold_into_the_scalar(cycle_with_side_loop, monkeypatch, text, k):
+    # a run of minus signs around a literal factor is part of the scalar, so
+    # no product has the |V|-term element -2 * 1 as a factor
+    g = cycle_with_side_loop
+    identity = set(AlgebraElement.one(g).terms)
+    factors = []
+    mul = AlgebraElement.mul
+
+    def recorded(self, other):
+        factors.extend((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "mul", recorded)
+    got = normalize(g, text)
+    assert not [f for f in factors if identity <= set(f.terms)]
+    assert got == normalize(g, "e1").scale(k)
+
+
+def _base_change_tree(rng, g, depth):
+    """A random_expr_tree, a fraction or the sum of every vertex, under a
+    run of zero to two minus signs, combined with a sibling by +, - or *."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        node = random_expr_tree(rng, g, rng.randint(0, 2))
+    elif kind == 1:
+        node = Lit(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    else:
+        node = VertexSym(g.vertices[0])
+        for v in g.vertices[1:]:
+            node = Sum(node, VertexSym(v))
+    for _ in range(rng.randrange(3)):
+        node = Neg(node)
+    if depth <= 0:
+        return node
+    other = _base_change_tree(rng, g, depth - 1)
+    return rng.choice([Sum, Diff, Prod, Prod])(node, other)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_extension_normal_form_is_the_rational_one_embedded(seed):
+    # L_K'(E) = K' (x) L_Q(E) on the same monomial basis, and expressions
+    # name only rationals, so the normal form over K' is the one over Q
+    # with its scalars embedded; both agree with the brute-force expansion
+    rng = random.Random(seed)
+    g = random_bundle_graph(rng)
+    field = ExtensionField(LaurentPoly.parse("1+x+x^2"))
+    tree = _base_change_tree(rng, g, rng.randint(1, 3))
+    over_q = evaluate(g, tree)
+    over_k = evaluate(g, tree, field)
+    assert over_k == over_q.with_field(field)
+    assert over_k.field is field
+    want = brute_normal_form(g, tree, seed)
+    assert over_q.terms == want
+    assert over_k.terms == {m: field.coerce(c) for m, c in want.items()}
