@@ -85,8 +85,9 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r} at position {pos}")
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
             break
         kind = m.lastgroup
         val = m.group(kind)
@@ -144,7 +145,7 @@ class _Parser:
         kind, val, at = self.peek()
         if kind == "rat":
             self.take()
-            node = Lit(rational_literal(val.replace(" ", ""), at))
+            node = Lit(rational_literal("".join(val.split()), at))
         elif kind == "(":
             self.take()
             node = self.expr()

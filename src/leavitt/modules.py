@@ -11,9 +11,9 @@ families:
   to c^inf for a cycle c.  The basis vector p·c^inf is stored as the finite
   path p, which ends at the base of c and does not end in a whole period c;
   this form is unique because the sources of a cycle's edges are distinct.
-* :class:`TwistedRationalPathModule` V_[mu]^f: the same basis over the
-  extension K' = Q[x,x^-1]/(f), where the distinguished first cycle edge e1
-  acts through the automorphism e1 -> x*e1, e1* -> x^-1*e1*.
+* :class:`TwistedRationalPathModule` V_[mu]^f: V_[mu] over K' =
+  Q[x,x^-1]/(f) pulled back along the automorphism sigma: e1 -> x*e1,
+  e1* -> x^-1*e1* for the first cycle edge e1, so a acts as sigma(a) does.
 
 Generators act on a basis path by the usual rules: a vertex projects onto
 paths it sources, an edge prepends when composable, a ghost edge strips a
@@ -45,7 +45,7 @@ from .errors import (
     NotInvariantError,
 )
 from .graph import INFINITE_EMITTER, SINK, Graph, Path
-from .scalars import QQ, ExtensionField, _power, join
+from .scalars import QQ, ExtensionField, join
 
 
 class ModuleVector:
@@ -89,10 +89,19 @@ class ModuleVector:
 
 
 class _BaseModule:
-    """Shared machinery: bilinear action of elements on vectors."""
+    """Action on bases of finite paths ending at one terminal vertex: the
+    bilinear action of elements on vectors."""
 
-    graph: Graph
-    field: object
+    def __init__(self, graph: Graph, terminal: str, field=QQ):
+        self.graph = graph
+        self.terminal = graph.require_vertex(terminal)
+        self.field = field
+
+    def basis_path(self, source: str, edges=()) -> Path:
+        p = self.graph.path(source, tuple(edges))
+        if self.graph.range_of(p) != self.terminal:
+            raise GraphError(f"path {p} does not end at {self.terminal!r}")
+        return p
 
     def vector(self, terms: dict) -> ModuleVector:
         return ModuleVector(self, {b: self.field.coerce(c) for b, c in terms.items()})
@@ -131,43 +140,23 @@ class _BaseModule:
             by_source.setdefault(column[0].source, []).append(column)
         for (gamma, lam), coeff in items:
             for b, c, out in by_source.get(lam.source, ()):
-                hit = act_monomial(gamma, lam, b)
-                if hit is None:
-                    continue
-                factor, target = hit
-                k = coeff if c is None else coeff * c
-                add_term(out, target, k if factor is None else k * factor)
+                target = act_monomial(gamma, lam, b)
+                if target is not None:
+                    add_term(out, target, coeff if c is None else coeff * c)
 
-    # subclasses: _act_monomial(gamma, lam, basis) -> (twist factor | None, basis) | None,
-    # called only when s(lam) is the source of the basis path
+    def _act_monomial(self, gamma: Path, lam: Path, b: Path) -> Path | None:
+        """g l* on the basis path b, which starts at s(l): strip l as a
+        prefix of b, then prepend g (r(g) = r(l)); None when l is no prefix."""
+        nl = len(lam.edges)
+        if b.edges[:nl] != lam.edges:
+            return None
+        return Path(gamma.source, gamma.edges + b.edges[nl:])
 
     def describe(self, b) -> str:
         return str(b)
 
 
-class _FinitePathModule(_BaseModule):
-    """Action on bases of finite paths ending at one terminal vertex."""
-
-    def __init__(self, graph: Graph, terminal: str, field=QQ):
-        self.graph = graph
-        self.terminal = graph.require_vertex(terminal)
-        self.field = field
-
-    def basis_path(self, source: str, edges=()) -> Path:
-        p = self.graph.path(source, tuple(edges))
-        if self.graph.range_of(p) != self.terminal:
-            raise GraphError(f"path {p} does not end at {self.terminal!r}")
-        return p
-
-    def _act_monomial(self, gamma: Path, lam: Path, b: Path):
-        # strip lam as a prefix of b, then prepend gamma; r(gamma) = r(lam)
-        nl = len(lam.edges)
-        if b.edges[:nl] != lam.edges:
-            return None
-        return None, Path(gamma.source, gamma.edges + b.edges[nl:])
-
-
-class SinkModule(_FinitePathModule):
+class SinkModule(_BaseModule):
     """N_w for a sink w."""
 
     kind = "N_sink"
@@ -178,7 +167,7 @@ class SinkModule(_FinitePathModule):
             raise GraphError(f"{sink!r} is not a sink")
 
 
-class InfiniteEmitterModule(_FinitePathModule):
+class InfiniteEmitterModule(_BaseModule):
     """S_v for an infinite emitter v."""
 
     kind = "S_infemitter"
@@ -189,7 +178,7 @@ class InfiniteEmitterModule(_FinitePathModule):
             raise GraphError(f"{emitter!r} is not an infinite emitter")
 
 
-class RationalPathModule(_FinitePathModule):
+class RationalPathModule(_BaseModule):
     """V_[mu] for mu = prefix . cycle^inf; the basis path p stands for p . cycle^inf."""
 
     kind = "V_rational"
@@ -224,22 +213,13 @@ class RationalPathModule(_FinitePathModule):
         c = self.cycle.edges
         return self.basis_path(prefix.source, prefix.edges + c[rotation % len(c):])
 
-    def _act_monomial(self, gamma: Path, lam: Path, b: Path):
+    def _act_monomial(self, gamma: Path, lam: Path, b: Path) -> Path | None:
         c = self.cycle.edges
         short = len(lam.edges) - len(b.edges)
         if short > 0:  # append whole periods until lam fits
             b = Path(b.source, b.edges + c * -(-short // len(c)))
-        hit = super()._act_monomial(gamma, lam, b)
-        if hit is None:
-            return None
-        target = self._fold(hit[1])
-        twist = 0
-        if self.twisted_edge is not None:
-            twist = gamma.edges.count(self.twisted_edge) - lam.edges.count(self.twisted_edge)
-        if twist == 0:
-            return None, target
-        xbar = self.field.generator()
-        return _power(xbar if twist > 0 else xbar.inverse(), abs(twist)), target
+        target = super()._act_monomial(gamma, lam, b)
+        return None if target is None else self._fold(target)
 
     def describe(self, b: Path) -> str:
         head = f"{b}·" if b.edges else ""
@@ -247,7 +227,9 @@ class RationalPathModule(_FinitePathModule):
 
 
 class TwistedRationalPathModule(RationalPathModule):
-    """V_[mu]^f over K' = Q[x,x^-1]/(f): the cycle's first edge is twisted.
+    """V_[mu]^f over K' = Q[x,x^-1]/(f): V_[mu] pulled back along the
+    automorphism sigma that sends the cycle's first edge e1 to x*e1 and e1*
+    to x^-1*e1*.
 
     Rational-coefficient elements embed into K' before acting; elements over
     a different extension are rejected.
@@ -259,10 +241,26 @@ class TwistedRationalPathModule(RationalPathModule):
         if not isinstance(field, ExtensionField):
             raise FieldMismatchError("twisted module requires an extension field")
         super().__init__(graph, cycle, prefix, field)
+        self._x = field.generator()
+        self._x_inverse = self._x.inverse()
 
     @property
     def twisted_edge(self) -> str:
         return self.cycle.edges[0]
+
+    def _sweep(self, items, columns) -> None:
+        """Apply sigma to each term, scaling g l* by x^(#e1 in g - #e1 in l),
+        and sweep V_[mu] with the result."""
+        e1 = self.twisted_edge
+
+        def twisted():
+            for (gamma, lam), coeff in items:
+                n = gamma.edges.count(e1) - lam.edges.count(e1)
+                for _ in range(abs(n)):
+                    coeff = coeff * (self._x if n > 0 else self._x_inverse)
+                yield (gamma, lam), coeff
+
+        super()._sweep(twisted(), columns)
 
 
 def invariant_pair(module, edge_name: str) -> tuple:

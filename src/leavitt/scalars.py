@@ -10,12 +10,12 @@ Two kinds of scalars circulate in the package:
 
 Because the constant term of f is a unit, x is invertible mod f, so a
 Laurent modulus can be normalized to an ordinary polynomial by clearing
-negative exponents before quotienting.  A product of two residues has
-degree at most 2d - 2; each field keeps the residues of x^d, ..., x^(2d-2),
-computed once by the rule x^d = sum of r_i x^i (r_i = -f_i / f_d), and a
-product adds its high coefficients back through that table.  Longer
-coefficient lists are folded by the rule itself; inverses solve a d x d
-linear system.  Irreducibility of f is verified up to degree 3
+negative exponents before quotienting.  One reduction,
+:meth:`ExtensionField._reduce`, folds any coefficient list to d
+coefficients by the rule x^d = sum of r_i x^i (r_i = -f_i / f_d), from the
+top down: a product is the schoolbook product of two residues folded
+once, and an inverse solves a d x d linear system whose columns x^j a are
+folded the same way.  Irreducibility of f is verified up to degree 3
 (degree 2 by its discriminant, degree 3 by the rational root test, run as
 a bisection for an integer root of a monic cubic); higher
 degrees are trusted with a warning (an actually-reducible modulus degrades
@@ -34,7 +34,6 @@ import re
 import warnings
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import add
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -163,15 +162,6 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)!r})"
 
 
-def _power(value, n: int):
-    if isinstance(value, (int, Fraction)):
-        return value ** n
-    result = value.field.one
-    for _ in range(n):
-        result = result * value
-    return result
-
-
 def _rational_root_exists(coeffs: list[Fraction]) -> bool:
     """True iff a0 + a1 x + a2 x^2 (+ a3 x^3), with a0 and the top
     coefficient nonzero, has a root in Q.
@@ -280,16 +270,6 @@ def join(f, g):
     raise FieldMismatchError(f"cannot combine scalars over {f!r} and {g!r}")
 
 
-def _canonical(coeffs: Iterable) -> tuple:
-    """A coefficient tuple with every integral value an ``int``: a tuple of
-    ``int`` is kept as it is, and any other goes through ``QQ.coerce``."""
-    t = tuple(coeffs)
-    for c in t:
-        if type(c) is not int:
-            return tuple(map(QQ.coerce, t))
-    return t
-
-
 class ExtensionField:
     """K' = Q[x, x^-1] / (f(x)) presented by a normalized modulus.
 
@@ -310,10 +290,6 @@ class ExtensionField:
         self.degree = d = modulus.max_exp
         # the reduction rule x^d = sum of r_i x^i over i < d
         self._rule = tuple(QQ.coerce(-modulus[i] / modulus[d]) for i in range(d))
-        # the residues of x^d, ..., x^(2d-2), the powers a product can reach
-        self._high_powers = tuple(
-            self._reduce([0] * k + [1]) for k in range(d, 2 * d - 1)
-        )
         if d <= 3:
             # degree 1 is always irreducible; 2 and 3 exactly when rootless
             if d >= 2 and _rational_root_exists([modulus[i] for i in range(d + 1)]):
@@ -351,7 +327,8 @@ class ExtensionField:
 
     def _reduce(self, c: list) -> tuple:
         """Fold the little-endian list c in place to ``degree`` coefficients,
-        rewriting x^k for each k >= d, from the top, as the sum of r_i x^(k-d+i)."""
+        rewriting x^k for each k >= d, from the top, as the sum of r_i x^(k-d+i);
+        every integral coefficient of the result is an ``int``."""
         d, rule = self.degree, self._rule
         c += [0] * (d - len(c))
         for top in range(len(c) - 1, d - 1, -1):
@@ -359,7 +336,7 @@ class ExtensionField:
             if k:
                 for i, r in enumerate(rule, top - d):
                     c[i] += k * r
-        return _canonical(c[:d])
+        return tuple(map(QQ.coerce, c[:d]))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, ExtensionField) and self.modulus == other.modulus)
@@ -386,8 +363,6 @@ class ExtensionScalar:
         self.coeffs = coeffs
 
     def _match(self, other) -> "ExtensionScalar | None":
-        if type(other) is ExtensionScalar and other.field is self.field:
-            return other  # a residue of this very field object needs no check
         if isinstance(other, (ExtensionScalar, int, Fraction)):
             return self.field.coerce(other)
         return None
@@ -396,7 +371,7 @@ class ExtensionScalar:
         o = self._match(other)
         if o is None:
             return NotImplemented
-        return ExtensionScalar(self.field, _canonical(map(add, self.coeffs, o.coeffs)))
+        return ExtensionScalar(self.field, self.field._reduce([a + b for a, b in zip(self.coeffs, o.coeffs)]))
 
     __radd__ = __add__
 
@@ -419,20 +394,12 @@ class ExtensionScalar:
         o = self._match(other)
         if o is None:
             return NotImplemented
-        b = o.coeffs
-        field = self.field
-        d = field.degree
-        prod = [0] * (2 * d - 1)
+        prod = [0] * (2 * self.field.degree - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, v in enumerate(b, i):
-                    prod[j] += a * v
-        out = prod[:d]
-        for k, residue in zip(prod[d:], field._high_powers):
-            if k:
-                for j, r in enumerate(residue):
-                    out[j] += k * r
-        return ExtensionScalar(field, _canonical(out))
+                for j, b in enumerate(o.coeffs, i):
+                    prod[j] += a * b
+        return ExtensionScalar(self.field, self.field._reduce(prod))
 
     __rmul__ = __mul__
 
@@ -446,8 +413,7 @@ class ExtensionScalar:
         cols, col = [], self.coeffs
         for _ in range(d):
             cols.append(col)
-            top = col[-1]
-            col = tuple(c + top * r for c, r in zip((0,) + col[:-1], field._rule))
+            col = field._reduce([0, *col])
         rows = [[Fraction(c[i]) for c in cols] + [Fraction(i == 0)] for i in range(d)]
         for k in range(d):
             pivot = next((i for i in range(k, d) if rows[i][k]), None)

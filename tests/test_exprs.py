@@ -49,13 +49,17 @@ def test_parse_errors(toeplitz):
     for bad in ["e^* *", "e f", "2f", "(f", "f)", "", "*f", "f^", "1.5*f"]:
         with pytest.raises(ParseError):
             parse_expr(toeplitz, bad)
+    # the position is the bad character's own, not the whitespace before it
+    with pytest.raises(ParseError, match=r"unexpected character '\$' at position 3$"):
+        parse_expr(toeplitz, "e  $")
 
 
 def test_zero_denominator_is_a_parse_error(toeplitz):
-    for text, at in [("2/0*e", 0), ("1 + 2 / 0*f^*", 4), ("e*(3/00)", 3)]:
+    for text, at in [("2/0*e", 0), ("1 + 2 / 0*f^*", 4), ("e*(3/00)", 3), ("2\t/0*e", 0)]:
         with pytest.raises(ParseError, match=f"zero denominator in .* at position {at}$"):
             parse_expr(toeplitz, text)
     assert normalize(toeplitz, "0/3*e + 2/4*f") == normalize(toeplitz, "1/2*f")
+    assert normalize(toeplitz, "2\t/3*e") == normalize(toeplitz, "2/3*e")
 
 
 def test_unknown_and_misused_symbols(toeplitz, double_emitter):

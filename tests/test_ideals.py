@@ -277,6 +277,32 @@ def test_classification_negative_cases(toeplitz, double_emitter):
     assert classify(desc).verdict == "not_primitive"
 
 
+@pytest.mark.parametrize(
+    "poly, verdict, note",
+    [
+        (None, "not_primitive", "no polynomial supplied"),
+        ("x + x^2", "not_primitive", "zero constant term"),
+        ("x^-1", "not_primitive", "constant modulus"),
+        ("1 + x^4", "typeIII", "degree > 3: trusted without verification"),
+    ],
+)
+def test_polynomial_notes(chained_loops, poly, verdict, note):
+    g4 = chained_loops
+    desc = IdealDescriptor(
+        AdmissiblePair(g4, {"v"}),
+        cycle=g4.path("u", ["e"]),
+        poly=None if poly is None else LaurentPoly.parse(poly),
+    )
+    res = classify(desc)
+    assert res.verdict == verdict
+    (entry,) = [e for e in res.transcript if e["condition"] == "polynomial accepted as irreducible"]
+    assert entry == {
+        "condition": "polynomial accepted as irreducible",
+        "outcome": verdict == "typeIII",
+        "note": note,
+    }
+
+
 def test_transcripts_are_complete(chained_loops, toeplitz):
     res = classify(IdealDescriptor(AdmissiblePair(toeplitz, [])))
     conditions = {e["condition"] for e in res.transcript if e["outcome"]}

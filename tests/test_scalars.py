@@ -231,11 +231,14 @@ def test_product_matches_long_division(modulus):
         product = field.element(a) * field.element(b)
         assert product.coeffs == tuple(_poly_remainder(schoolbook, dense))
         assert all((type(c) is int) == (Fraction(c).denominator == 1) for c in product.coeffs)
-        # a residue of an equal field object goes through the general path
+        # a residue of an equal, distinct field object mixes with this one
         assert field.element(a) * twin.element(b) == product
         assert (field.element(a) + twin.element(b)).coeffs == field.element(
             [x + y for x, y in zip(a, b)]
         ).coeffs
+        # (1 + x^2)^2 has zero divisors, which the test below covers
+        if any(a) and modulus != "1 + 2*x^2 + x^4":
+            assert field.element(a) * field.element(a).inverse() == field.one
 
 
 def test_integral_residues_have_int_coefficients():
@@ -313,3 +316,13 @@ def test_huge_cubic_moduli_are_decided_quickly():
     with pytest.raises(ReduciblePolynomialError):
         ExtensionField(LaurentPoly.parse(f"{10**20} - 7*x + {10**20}*x^2 - 7*x^3"))
     assert time.perf_counter() - start < 1
+
+
+def test_dense_high_degree_field_builds_quickly():
+    # sum of (i + 1) x^i for i <= 200: building the field is one pass over the rule
+    modulus = LaurentPoly({i: i + 1 for i in range(201)})
+    start = time.perf_counter()
+    with pytest.warns(UserWarning, match="not verified"):
+        field = ExtensionField(modulus)
+    assert time.perf_counter() - start < 1
+    assert field.degree == 200
