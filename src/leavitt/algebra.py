@@ -20,7 +20,10 @@ special edge, rewriting via (CK2)
 Each (a e)(b e)* ends in the non-special edge e, so it is a basis monomial;
 only a b* can reduce again.  Reduction is therefore one loop per raw
 monomial: strip special tail edges from the end, emitting the sibling terms
-at each strip, until the tails differ or stop being special.  Nothing is
+at each strip, until the tails differ or stop being special.  The loop
+reads the (CK2) table that the graph builds at construction: it maps each
+special edge d to its siblings, the other out-edges at s(d), so one lookup
+tells whether a tail edge is special and what it emits.  Nothing is
 re-queued, and the surviving monomials form a basis, which makes the normal
 form a decision procedure for equality.  Bundle edges never appear in
 elements (CK2 does not fire at infinite emitters), only explicit or minted
@@ -31,7 +34,10 @@ and r n* with s(l) = s(r), the product is zero unless one of l, r extends
 the other.  It keeps the tails of r n* when r is the longer, and those of
 g l* when l is, so it is a basis monomial; only l = r leaves g n*, which
 can reduce.  So ``mul`` writes the other products down and reduces only
-the exact-match ones (see ``AlgebraElement.mul``).
+the exact-match ones (see ``AlgebraElement.mul``).  A product of raw
+monomials, such as a chain of generators, is one monomial or zero by (CK1),
+so ``add_monomial_product`` folds it without building an element per
+factor and reduces it once.
 
 Everything here is immutable and pure; products of independent elements can
 be evaluated concurrently without shared state.
@@ -70,6 +76,9 @@ class PathMonomial(NamedTuple):
         return "*".join(parts) if parts else self.gamma.source
 
 
+_new = tuple.__new__  # builds a named tuple without its argument checks
+
+
 def add_term(terms: dict, key, coeff) -> None:
     """Add coeff * key into a dict of monomial or basis-path terms, dropping
     a sum that cancels."""
@@ -92,32 +101,68 @@ def _identity_monomials(g: Graph) -> tuple:
 def _normalize_terms(g: Graph, items, out: dict | None = None) -> dict:
     """Reduce a raw (monomial, coefficient) stream to basis form, one loop
     per monomial stripping its special tail edges (see the module notes).
-    The result is added into ``out`` when given, else into a new dict."""
+    The graph's (CK2) table gives the siblings of each special edge.  The
+    result is added into ``out`` when given, else into a new dict."""
     if out is None:
         out = {}
+    ck2 = g._ck2
     for mono, coeff in items:
         if not coeff:
             continue
-        gamma, lam = mono
-        while gamma.edges and lam.edges:
-            d = gamma.edges[-1]
-            if d != lam.edges[-1]:
-                break
-            v = g.edges[d].src
-            if g.special_edge(v) != d:
-                break
-            gamma = Path(gamma.source, gamma.edges[:-1])
-            lam = Path(lam.source, lam.edges[:-1])
-            mono = PathMonomial(gamma, lam)
-            for name in g.out_edges(v):
-                if name != d:
-                    sibling = PathMonomial(
-                        Path(gamma.source, gamma.edges + (name,)),
-                        Path(lam.source, lam.edges + (name,)),
-                    )
-                    add_term(out, sibling, -coeff)
+        (g_src, g_edges), (l_src, l_edges) = mono
+        stripped = False
+        while (
+            g_edges
+            and l_edges
+            and g_edges[-1] == l_edges[-1]
+            and (siblings := ck2.get(g_edges[-1])) is not None
+        ):
+            g_edges, l_edges, stripped = g_edges[:-1], l_edges[:-1], True
+            for name in siblings:
+                sibling = _new(PathMonomial, (
+                    _new(Path, (g_src, g_edges + (name,))),
+                    _new(Path, (l_src, l_edges + (name,))),
+                ))
+                add_term(out, sibling, -coeff)
+        if stripped:
+            mono = _new(PathMonomial, (_new(Path, (g_src, g_edges)), _new(Path, (l_src, l_edges))))
         add_term(out, mono, coeff)
     return out
+
+
+def generator_monomial(g: Graph, kind: str, name: str) -> PathMonomial:
+    """The basis monomial of a generator: a vertex v is v v*, an edge e is
+    e r(e)*, and its ghost e* is r(e) e*.  ``kind`` is "vertex", "edge" or
+    "ghost"; an unknown name raises the graph's lookup error."""
+    if kind == "vertex":
+        t = g.trivial_path(name)
+        return _new(PathMonomial, (t, t))
+    e = g.require_edge(name)
+    p, t = _new(Path, (e.src, (name,))), _new(Path, (e.dst, ()))
+    return _new(PathMonomial, (p, t) if kind == "edge" else (t, p))
+
+
+def add_monomial_product(g: Graph, terms: dict, monomials: list, k) -> None:
+    """Add k times the product of the raw monomials, in basis form, into
+    ``terms``; the empty product is the identity.
+
+    By (CK1), (g l*)(r n*) is one monomial or zero for any two monomials:
+    zero unless s(l) = s(r), and otherwise ``_mono_mul``.  So the product
+    folds left to right into one raw monomial, stops at the first zero, and
+    is reduced once.
+    """
+    if not monomials:
+        for m in _identity_monomials(g):
+            add_term(terms, m, k)
+        return
+    mono = monomials[0]
+    for m2 in monomials[1:]:
+        if mono.lam.source != m2.gamma.source:
+            return
+        mono = _mono_mul(mono, m2)
+        if mono is None:
+            return
+    _normalize_terms(g, ((mono, k),), terms)
 
 
 class AlgebraElement:
@@ -144,18 +189,15 @@ class AlgebraElement:
 
     @classmethod
     def vertex(cls, g: Graph, v: str, field=QQ) -> "AlgebraElement":
-        t = g.trivial_path(g.require_vertex(v))
-        return cls(g, field, {PathMonomial(t, t): field.one})
+        return cls(g, field, {generator_monomial(g, "vertex", v): field.one})
 
     @classmethod
     def edge(cls, g: Graph, name: str, field=QQ) -> "AlgebraElement":
-        p = g.edge_path(name)
-        return cls(g, field, {PathMonomial(p, g.trivial_path(g.range_of(p))): field.one})
+        return cls(g, field, {generator_monomial(g, "edge", name): field.one})
 
     @classmethod
     def ghost(cls, g: Graph, name: str, field=QQ) -> "AlgebraElement":
-        p = g.edge_path(name)
-        return cls(g, field, {PathMonomial(g.trivial_path(g.range_of(p)), p): field.one})
+        return cls(g, field, {generator_monomial(g, "ghost", name): field.one})
 
     @classmethod
     def one(cls, g: Graph, field=QQ) -> "AlgebraElement":
@@ -239,39 +281,44 @@ class AlgebraElement:
           g l*, a basis monomial, by the same argument;
         * neither extends the other: the product is zero by CK1.
 
-        The right factor's terms fall into three groups.  A vertex term v
-        passes every g l* with s(l) = v through, scaled by its coefficient,
-        so these products fill the result first in one pass.  A pure ghost
-        n* (trivial r) composes with every g l* with s(l) = s(n*).  A term
-        with nonempty r is filed under the first edge of r: by CK1 it meets
-        a nonempty l only when l starts with that edge, and it meets a
-        trivial l at its source.  So each g l* tries the ghosts at s(l) and,
-        for nonempty l, the terms under its first edge, or else every term
-        with nonempty r at s(l).  Only l = r can give a reducible g n*.
-        Those products go through ``_normalize_terms`` together; every
-        other one is added directly.
+        The right factor's terms are filed once, as records (r n*, edges of
+        r, coefficient), in three groups.  A vertex term v passes every g l*
+        with s(l) = v through, scaled by its coefficient, so when the right
+        factor has vertex terms these products fill the result first in one
+        pass.  A pure ghost n* (trivial r) composes with every g l* with
+        s(l) = s(n*).  A term with nonempty r is filed under the first edge
+        of r: by CK1 it meets a nonempty l only when l starts with that
+        edge, and it meets a trivial l at its source.  So each g l* tries
+        the ghosts at s(l) and, for nonempty l, the terms under its first
+        edge, or else every term with nonempty r at s(l).  Only l = r,
+        tested on the stored edges of r, can give a reducible g n*.  Those
+        products go through ``_normalize_terms`` together; every other one
+        is added directly.
         """
         self._check_graph(other)
         field = scalars.join(self.field, other.field)
         a, b = self.with_field(field), other.with_field(field)
-        # vertex and edge names are distinct, so one dict files the terms
+        # vertex and edge names are distinct, so one dict files the records
         # with nonempty r under both the first edge of r and s(r)
         vertex: dict[str, object] = {}  # s -> coefficient of the vertex term s
-        ghosts: dict[str, list] = {}  # s(n*) -> terms n* with trivial r
-        reals: dict[str, list] = {}  # first edge of r, and s(r) -> terms r n*
+        ghosts: dict[str, list] = {}  # s(n*) -> records of terms n* with trivial r
+        reals: dict[str, list] = {}  # first edge of r, and s(r) -> records of terms r n*
         for m2, c2 in b.terms.items():
-            rho = m2.gamma
-            if rho.edges:
-                reals.setdefault(rho.edges[0], []).append((m2, c2))
-                reals.setdefault(rho.source, []).append((m2, c2))
+            source, r = m2.gamma
+            if r:
+                record = (m2, r, c2)
+                reals.setdefault(r[0], []).append(record)
+                reals.setdefault(source, []).append(record)
             elif m2.lam.edges:
-                ghosts.setdefault(rho.source, []).append((m2, c2))
+                ghosts.setdefault(source, []).append((m2, r, c2))
             else:
-                vertex[rho.source] = c2
-        get = vertex.get
-        terms = {
-            m1: p for m1, c1 in a.terms.items() if (c := get(m1.lam.source)) is not None and (p := c1 * c)
-        }
+                vertex[source] = c2
+        terms = {}
+        if vertex:
+            get = vertex.get
+            terms = {
+                m1: p for m1, c1 in a.terms.items() if (c := get(m1.lam.source)) is not None and (p := c1 * c)
+            }
         exact = []
         tries: dict[str, list] = {}  # first edge of l, or s(l) for trivial l -> candidates
         for m1, c1 in a.terms.items():
@@ -281,8 +328,8 @@ class AlgebraElement:
             pairs = tries.get(key)
             if pairs is None:
                 pairs = tries[key] = ghosts.get(lam.source, []) + reals.get(key, [])
-            for m2, c2 in pairs:
-                if m2.gamma.edges == edges:  # l = r
+            for m2, r, c2 in pairs:
+                if r == edges:  # l = r
                     exact.append((PathMonomial(gamma, m2.lam), c1 * c2))
                     continue
                 prod = _mono_mul(m1, m2)
@@ -355,9 +402,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"<AlgebraElement {self}>"
-
-
-_new = tuple.__new__  # builds a named tuple without its argument checks
 
 
 def _mono_mul(m1: PathMonomial, m2: PathMonomial) -> PathMonomial | None:

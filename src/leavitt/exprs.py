@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, add_term
+from .algebra import AlgebraElement, PathMonomial, add_monomial_product, add_term, generator_monomial
 from .errors import ParseError, UnknownSymbolError
 from .graph import IDENT, Graph
 from .scalars import QQ, rational_literal
@@ -73,90 +73,93 @@ _TOKEN_RE = re.compile(
         (?P<rat>\d+(?:\s*/\s*\d+)?)
       | (?P<ident>{IDENT})
       | (?P<ghost>\^\*)
-      | (?P<op>[+\-*()])
+      | (?P<plus>\+) | (?P<minus>-) | (?P<times>\*) | (?P<open>\() | (?P<close>\))
+      | (?P<bad>\S)
     )""",
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if rest:
-                raise ParseError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
-            break
-        kind = m.lastgroup
-        val = m.group(kind)
-        tokens.append((kind if kind != "op" else val, val, m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    """The token matches of the text and their kinds (the name of the group
+    each matched), in one pass, with the kind "end" appended.  Every
+    non-blank character starts a match, so the matches tile the text up to
+    trailing blanks, and a character no token allows is a ParseError."""
+    matches = list(_TOKEN_RE.finditer(text))
+    kinds = [m.lastgroup for m in matches]
+    if "bad" in kinds:
+        m = matches[kinds.index("bad")]
+        raise ParseError(f"unexpected character {m['bad']!r} at position {m.start('bad')}")
+    kinds.append("end")
+    return matches, kinds
 
 
 class _Parser:
+    """Recursive descent over the token kinds, read by index; a token's text
+    and position are read off its match only where they are used."""
+
     def __init__(self, g: Graph, text: str):
         self.g = g
         self.text = text
-        self.tokens = _tokenize(text)
+        self.matches, self.kinds = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r} at position {tok[2]}, found {tok[1] or 'end of input'!r}")
-        self.pos += 1
-        return tok
+    def token(self, i: int):
+        """(text, position) of token i; the end of input is ("", len(text))."""
+        if i == len(self.matches):
+            return "", len(self.text)
+        kind = self.kinds[i]
+        return self.matches[i][kind], self.matches[i].start(kind)
 
     def parse(self):
         tree = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input at position {tok[2]}: {tok[1]!r}")
+        if self.kinds[self.pos] != "end":
+            val, at = self.token(self.pos)
+            raise ParseError(f"trailing input at position {at}: {val!r}")
         return tree
 
     def expr(self):
+        kinds = self.kinds
         node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+        while (op := kinds[self.pos]) == "plus" or op == "minus":
+            self.pos += 1
             rhs = self.term()
-            node = Sum(node, rhs) if op == "+" else Diff(node, rhs)
+            node = Sum(node, rhs) if op == "plus" else Diff(node, rhs)
         return node
 
     def term(self):
+        kinds = self.kinds
         node = self.factor()
-        while self.peek()[0] == "*":
-            self.take()
+        while kinds[self.pos] == "times":
+            self.pos += 1
             node = Prod(node, self.factor())
         return node
 
     def factor(self):
         # a run of prefix minus signs is counted in a loop, not recursed into
+        kinds, pos = self.kinds, self.pos
         signs = 0
-        while self.peek()[0] == "-":
-            self.take()
+        while kinds[pos] == "minus":
+            pos += 1
             signs += 1
-        kind, val, at = self.peek()
+        kind = kinds[pos]
+        self.pos = pos + 1
         if kind == "rat":
-            self.take()
-            node = Lit(rational_literal("".join(val.split()), at))
-        elif kind == "(":
-            self.take()
+            m = self.matches[pos]
+            node = Lit(rational_literal("".join(m["rat"].split()), m.start("rat")))
+        elif kind == "open":
             node = self.expr()
-            self.take(")")
+            if kinds[self.pos] != "close":
+                val, at = self.token(self.pos)
+                raise ParseError(f"expected ')' at position {at}, found {val or 'end of input'!r}")
+            self.pos += 1
         elif kind == "ident":
-            self.take()
-            ghost = self.peek()[0] == "ghost"
-            if ghost:
-                self.take()
-            node = self.resolve(val, ghost, at)
+            m = self.matches[pos]
+            ghost = kinds[self.pos] == "ghost"
+            self.pos += ghost
+            node = self.resolve(m["ident"], ghost, m.start("ident"))
         else:
+            val, at = self.token(pos)
             raise ParseError(f"expected a factor at position {at}, found {val or 'end of input'!r}")
         for _ in range(signs):
             node = Neg(node)
@@ -189,6 +192,9 @@ def parse_expr(g: Graph, text: str):
         raise ParseError("expression nests too deeply") from None
 
 
+_GENERATOR_KINDS = {VertexSym: "vertex", EdgeSym: "edge", GhostSym: "ghost"}
+
+
 def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
     """Fold an expression tree into a canonical element over ``field``.
 
@@ -201,73 +207,79 @@ def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
 
     A chain of sums, differences and negations adds its summands into one
     term dict, so reading back a printed normal form of n terms is linear
-    in n rather than copying the partial sum at every node.  Such chains
-    and chains of products are walked in a loop, so only parentheses nest
-    the recursion; a tree nested past the recursion limit is a
-    :class:`ParseError`.  The literal factors of a product chain, each
-    with the sign of any negations around it, fold into one scalar k,
-    which scales the product of the other factors once at the end (a chain
-    of literals alone is k times the identity), so neither ``2*e`` nor
-    ``-2*e`` multiplies an element by the |V|-term identity.
+    in n rather than copying the partial sum at every node.  Each summand
+    is a product chain (a single factor is a chain of one).  Its literal
+    factors and the minus signs around any factor fold into one scalar k,
+    so neither ``2*e`` nor ``-2*e`` multiplies by the |V|-term identity.
+
+    Generators are monomials, not elements.  By (CK1), (g l*)(r n*) is one
+    monomial or zero for any two monomials, so a chain whose other factors
+    are all vertices, edges and ghosts folds left to right into one raw
+    monomial, which is reduced once and added, times k, into the sum's
+    dict; a lone generator adds its one monomial, and a chain of literals
+    alone adds k to each of the |V| vertex monomials of the identity.
+    Any other chain multiplies its factors as elements with
+    ``AlgebraElement.mul``.  Either way a chain stops at its first zero
+    partial product, and the factors after it are never evaluated.
+
+    Chains are walked in loops, so only parentheses nest the recursion; a
+    tree nested past the recursion limit is a :class:`ParseError`.
     """
 
-    def walk(node) -> AlgebraElement:
-        if isinstance(node, Lit):
-            return AlgebraElement.one(g).scale(node.value)
-        if isinstance(node, VertexSym):
-            return AlgebraElement.vertex(g, node.name)
-        if isinstance(node, EdgeSym):
-            return AlgebraElement.edge(g, node.name)
-        if isinstance(node, GhostSym):
-            return AlgebraElement.ghost(g, node.name)
-        if isinstance(node, Prod):
-            return product(node)
-        if isinstance(node, (Sum, Diff, Neg)):
-            return signed_sum(node)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    def literal(node):
-        """The value of a Lit under a chain of Negs, else None."""
-        sign = 1
-        while isinstance(node, Neg):
-            node, sign = node.arg, -sign
-        return sign * node.value if isinstance(node, Lit) else None
-
-    def product(node) -> AlgebraElement:
-        factors = []
-        while isinstance(node, Prod):
-            factors.append(node.right)
-            node = node.left
-        factors.append(node)
-        k, result = 1, None
-        for factor in reversed(factors):
-            value = literal(factor)
-            if value is not None:
-                k *= value
-            elif result is None:
-                result = walk(factor)
-            else:
-                result = result.mul(walk(factor))
-        if result is None:
-            result = AlgebraElement.one(g)
-        return result if k == 1 else result.scale(k)
-
-    def signed_sum(node) -> AlgebraElement:
+    def walk(node) -> dict:
+        """The terms of a chain of sums, differences and negations."""
         terms: dict = {}
-        stack = [(node, False)]
+        stack = [(node, 1)]
         while stack:
-            node, negate = stack.pop()
+            node, sign = stack.pop()
             if isinstance(node, (Sum, Diff)):
-                stack += [(node.left, negate), (node.right, negate != isinstance(node, Diff))]
+                stack += [(node.left, sign), (node.right, -sign if isinstance(node, Diff) else sign)]
             elif isinstance(node, Neg):
-                stack.append((node.arg, not negate))
+                stack.append((node.arg, -sign))
             else:
-                for m, c in walk(node).terms.items():
-                    add_term(terms, m, -c if negate else c)
-        return AlgebraElement(g, QQ, terms)
+                add_chain(node, sign, terms)
+        return terms
+
+    def add_chain(node, k, terms: dict) -> None:
+        """Add k times a product chain into ``terms``."""
+        factors, stack, generators_only = [], [node], True
+        while stack:
+            node = stack.pop()
+            cls = type(node)
+            if cls is Prod:
+                stack += [node.right, node.left]
+            elif cls is Lit:
+                k *= node.value
+            elif cls is Neg:
+                k = -k
+                stack.append(node.arg)
+            elif cls in _GENERATOR_KINDS:
+                factors.append(generator_monomial(g, _GENERATOR_KINDS[cls], node.name))
+            elif cls is Sum or cls is Diff:
+                factors.append(node)
+                generators_only = False
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+        k = QQ.coerce(k)
+        if not k:
+            return
+        if generators_only:
+            add_monomial_product(g, terms, factors, k)
+            return
+        result = None
+        for factor in factors:
+            x = AlgebraElement(g, QQ, {factor: 1} if type(factor) is PathMonomial else walk(factor))
+            result = x if result is None else result.mul(x)
+            if not result.terms:
+                return
+        if terms:
+            for m, c in result.terms.items():
+                add_term(terms, m, k * c)
+        else:  # the first summand: a copy, with nothing to cancel against
+            terms.update(result.terms if k == 1 else {m: k * c for m, c in result.terms.items()})
 
     try:
-        return walk(tree).with_field(field)
+        return AlgebraElement(g, QQ, walk(tree)).with_field(field)
     except RecursionError:
         raise ParseError("expression nests too deeply") from None
 

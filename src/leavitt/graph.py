@@ -11,9 +11,9 @@ saturated closures, breaking vertices, cycle enumeration with exits and
 exclusivity (condition (L)), and the MT-3 common-lower-bound check; the
 quotient by an admissible pair is built in ``ideals``, beside phi.  Graphs
 are immutable, so construction builds every structural table once: sorted
-out-edges and out-bundles, the kind of each vertex, and its successor and
-predecessor vertices over edges and bundles.  Every query reads those
-tables.  One closure decides hereditary saturation as well as computing it,
+out-edges and out-bundles, the kind of each vertex, its successor and
+predecessor vertices over edges and bundles, and the (CK2) table that maps
+each special edge to its siblings.  Every query reads those tables.  One closure decides hereditary saturation as well as computing it,
 one backward walk computes M(v), and MT-3 takes one such walk, from a member
 picked by the strongly connected components, which are computed once.  All
 analyses are pure.
@@ -141,6 +141,11 @@ class Graph:
             v: INFINITE_EMITTER if out_bundles[v] else REGULAR if out[v] else SINK
             for v in self.vertices
         }
+        # the (CK2) table: the special edge of each regular vertex (its
+        # lexicographically largest out-edge) -> the other out-edges there
+        self._ck2 = {
+            out_v[-1]: out_v[:-1] for v, out_v in self._out.items() if self._kind[v] == REGULAR
+        }
         self._cycle_report: CycleReport | None = None
         self._component_of: dict[str, str] | None = None
         self._identity: tuple | None = None  # the vertex monomials of AlgebraElement.one
@@ -172,8 +177,10 @@ class Graph:
     def special_edge(self, v: str) -> str | None:
         """The distinguished out-edge of a regular vertex used by the
         normal-form rewriting (the lexicographically largest one), or None
-        at a sink or an infinite emitter, where (CK2) does not apply."""
-        return self._out[v][-1] if self._kind[self.require_vertex(v)] == REGULAR else None
+        at a sink or an infinite emitter, where (CK2) does not apply.  The
+        (CK2) table built at construction decides it."""
+        out = self._out[self.require_vertex(v)]
+        return out[-1] if out and out[-1] in self._ck2 else None
 
     # paths
 

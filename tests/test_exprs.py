@@ -1,11 +1,19 @@
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_normal_form, random_bundle_graph, random_element, random_expr_tree
+from conftest import (
+    brute_normal_form,
+    random_bundle_graph,
+    random_element,
+    random_expr_tree,
+    random_path_into,
+)
+from leavitt import examples
 from leavitt.algebra import AlgebraElement
 from leavitt.errors import ParseError, UnknownSymbolError
 from leavitt.exprs import (
@@ -52,6 +60,17 @@ def test_parse_errors(toeplitz):
     # the position is the bad character's own, not the whitespace before it
     with pytest.raises(ParseError, match=r"unexpected character '\$' at position 3$"):
         parse_expr(toeplitz, "e  $")
+    with pytest.raises(ParseError, match=r"unexpected character '\^' at position 1$"):
+        parse_expr(toeplitz, "e^ *")
+    for text, message in [
+        ("e f", "trailing input at position 2: 'f'"),
+        ("(f", "expected ')' at position 2, found 'end of input'"),
+        ("(f e)", "expected ')' at position 3, found 'e'"),
+        ("*f", "expected a factor at position 0, found '*'"),
+        ("f +  ", "expected a factor at position 5, found 'end of input'"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_expr(toeplitz, text)
 
 
 def test_zero_denominator_is_a_parse_error(toeplitz):
@@ -208,3 +227,77 @@ def test_extension_normal_form_is_the_rational_one_embedded(seed):
     want = brute_normal_form(g, tree, seed)
     assert over_q.terms == want
     assert over_k.terms == {m: field.coerce(c) for m, c in want.items()}
+
+
+# graphs where (CK2) fires (regular vertices) and where it does not
+# (infinite emitters and sinks)
+_CHAIN_GRAPHS = [Graph(["v"], [(f"r{i}", "v", "v") for i in range(1, n + 1)]) for n in (2, 3)]
+_CHAIN_GRAPHS += [make() for _, make in sorted(examples.ALL.items())]
+
+
+def _generator_chain(rng, g) -> str:
+    """A product chain of generators with literal and minus factors.  Half
+    the chains spell a composable g l*, whose paths often end in the same
+    edge, as in f*f^*; the others are random and mostly do not compose."""
+    if rng.random() < 0.5:
+        w = rng.choice(g.vertices)
+        gamma, lam = random_path_into(rng, g, w), random_path_into(rng, g, w)
+        if gamma.edges and rng.random() < 0.5:
+            lam = random_path_into(rng, g, g.edges[gamma.edges[-1]].src)
+            lam = lam._replace(edges=lam.edges + gamma.edges[-1:])
+        factors = list(gamma.edges) + [f"{e}^*" for e in reversed(lam.edges)]
+        if not factors or rng.random() < 0.3:
+            factors.insert(rng.randint(0, len(factors)), rng.choice([gamma.source, w]))
+    else:
+        names = sorted(g.edges)
+        factors = [
+            rng.choice([rng.choice(g.vertices), rng.choice(names), f"{rng.choice(names)}^*"])
+            for _ in range(rng.randint(1, 4))
+        ]
+    for _ in range(rng.randint(0, 2)):
+        factors.insert(rng.randint(0, len(factors)), rng.choice(["2", "1/2", "(3)", "2/2", "0"]))
+    return "*".join("-" * rng.choice([0, 0, 0, 1, 2]) + f for f in factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_generator_chains_inside_sums_match_the_oracle(seed):
+    # generator chains fold into one monomial each, reduced once and added
+    # into the sum's dict; check against expanding every product on raw
+    # monomials and reducing the whole expansion once, over Q and over K'
+    rng = random.Random(seed)
+    g = rng.choice(_CHAIN_GRAPHS) if rng.random() < 0.7 else random_bundle_graph(rng)
+    chains = [_generator_chain(rng, g) for _ in range(rng.randint(1, 4))]
+    text = chains[0] + "".join(rng.choice([" + ", " - "]) + chain for chain in chains[1:])
+    got = normalize(g, text)
+    want = brute_normal_form(g, parse_expr(g, text), seed)
+    assert got.terms == want, text
+    # a chain's scalar is an int when integral, and so is every coefficient
+    # its reduction emits (sums of fractions may still give integral Fractions)
+    for chain in chains:
+        assert all(type(c) is int for c in normalize(g, chain).terms.values() if c == int(c)), chain
+    field = ExtensionField(LaurentPoly.parse("1+x+x^2"))
+    over_k = normalize(g, text, field)
+    assert over_k.field is field
+    assert over_k.terms == {m: field.coerce(c) for m, c in want.items()}, text
+
+
+def test_a_chain_stops_at_its_first_zero_partial_product(monkeypatch):
+    # x * (relation) * y: the partial product x * (relation) is zero, so no
+    # product with the factors of y runs after it
+    g = _CHAIN_GRAPHS[0]  # the rose R2, where r2 is the special edge
+    x = "(1 + 2*r1 + 3*r2^*)*(1 + r1*r2^*)"
+    y = "(1 + 2*r2)*(1 + r1^*)"
+    results = []
+    mul = AlgebraElement.mul
+
+    def recorded(self, other):
+        results.append(mul(self, other))
+        return results[-1]
+
+    monkeypatch.setattr(AlgebraElement, "mul", recorded)
+    # a parenthesized product joins the chain, so r1^* and r2 are two factors
+    for relation, products in [("v - r1*r1^* - r2*r2^*", 2), ("r1^**r1 - v", 2), ("r1^**r2", 3)]:
+        results.clear()
+        assert normalize(g, f"{x}*({relation})*{y}").is_zero()
+        assert [r.is_zero() for r in results] == [False] * (products - 1) + [True], relation
