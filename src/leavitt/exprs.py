@@ -275,7 +275,7 @@ def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
         if terms:
             for m, c in result.terms.items():
                 add_term(terms, m, k * c)
-        else:  # the first summand: a copy, with nothing to cancel against
+        else:  # the first summand, often the whole sum: a copy, with nothing to cancel against
             terms.update(result.terms if k == 1 else {m: k * c for m, c in result.terms.items()})
 
     try:

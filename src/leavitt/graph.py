@@ -174,14 +174,6 @@ class Graph:
     def kinds(self) -> dict[str, str]:
         return dict(self._kind)
 
-    def special_edge(self, v: str) -> str | None:
-        """The distinguished out-edge of a regular vertex used by the
-        normal-form rewriting (the lexicographically largest one), or None
-        at a sink or an infinite emitter, where (CK2) does not apply.  The
-        (CK2) table built at construction decides it."""
-        out = self._out[self.require_vertex(v)]
-        return out[-1] if out and out[-1] in self._ck2 else None
-
     # paths
 
     def trivial_path(self, v: str) -> Path:
