@@ -3,12 +3,13 @@ fields: canonical normal forms, graph and ideal analysis, simple-module
 actions, and construction plus bounded verification of non-cyclic free
 subgroups of the unit group."""
 
-from .algebra import AlgebraElement, PathMonomial, eval_group_word, invert_unipotent
+from .algebra import AlgebraElement, PathMonomial, invert_unipotent
 from .exprs import evaluate, normalize, parse_expr
 from .freeness import (
     FreePairCertificate,
     certificate_for,
     count_reduced_words,
+    eval_group_word,
     find_free_generators,
     is_commutative,
     reduced_words,

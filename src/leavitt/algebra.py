@@ -49,11 +49,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import scalars
-from .errors import (
-    MixedGraphsError,
-    NotReducedError,
-    NotSquareZeroError,
-)
+from .errors import MixedGraphsError, NotSquareZeroError
 from .graph import Graph, Path
 from .scalars import QQ
 
@@ -333,16 +329,8 @@ class AlgebraElement:
                     exact.append((PathMonomial(gamma, m2.lam), c1 * c2))
                     continue
                 prod = _mono_mul(m1, m2)
-                if prod is None:
-                    continue
-                k = c1 * c2  # added as add_term would, but inline
-                acc = terms.get(prod)
-                if acc is not None:
-                    k += acc
-                if k:
-                    terms[prod] = k
-                elif acc is not None:
-                    del terms[prod]
+                if prod is not None:
+                    add_term(terms, prod, c1 * c2)
         if exact:
             _normalize_terms(self.graph, exact, terms)
         return AlgebraElement(self.graph, field, terms)
@@ -433,25 +421,3 @@ def invert_unipotent(t: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]
     one = AlgebraElement.one(t.graph, t.field)
     return one + t, one - t
 
-
-_INVERSE_LETTER = {"a": "A", "A": "a", "b": "B", "B": "b"}
-
-
-def eval_group_word(gens, word: str) -> AlgebraElement:
-    """Evaluate a freely reduced word over {a, A, b, B}.
-
-    ``gens`` is a pair ((a, a_inv), (b, b_inv)) of unit/inverse pairs; the
-    empty word is the identity.  Rejects words with cancelling adjacencies.
-    """
-    (ga, ga_inv), (gb, gb_inv) = gens
-    table = {"a": ga, "A": ga_inv, "b": gb, "B": gb_inv}
-    for ch in word:
-        if ch not in table:
-            raise NotReducedError(f"letter {ch!r} is not in the alphabet a, A, b, B")
-    for x, y in zip(word, word[1:]):
-        if _INVERSE_LETTER[x] == y:
-            raise NotReducedError(f"word {word!r} is not freely reduced at {x}{y}")
-    result = AlgebraElement.one(ga.graph, ga.field)
-    for ch in word:
-        result = result * table[ch]
-    return result

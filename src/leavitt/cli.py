@@ -233,8 +233,18 @@ def cmd_verify_free(args) -> int:
     return 0 if transcript["all_nontrivial"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a word with one leading dash that names no option, such as the
+    expression "-2*e", as a value; argparse alone takes it for an option."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string[:2] not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leavitt", description="exact computation in unital Leavitt path algebras"
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .algebra import _INVERSE_LETTER, AlgebraElement, add_term, invert_unipotent
-from .errors import NoWitnessFoundError, NotInvariantError
+from .algebra import AlgebraElement, add_term, invert_unipotent
+from .errors import NoWitnessFoundError, NotInvariantError, NotReducedError
 from .exprs import normalize
 from .graph import SINK, Edge, Graph
 from .ideals import (
@@ -355,6 +355,27 @@ def _edge_witness(q: Graph, fname: str, tails: dict):
 # bounded verification
 
 _LETTERS = "aAbB"
+_INVERSE_LETTER = {"a": "A", "A": "a", "b": "B", "B": "b"}
+
+
+def eval_group_word(gens, word: str) -> AlgebraElement:
+    """Evaluate a freely reduced word over {a, A, b, B}.
+
+    ``gens`` is a pair ((a, a_inv), (b, b_inv)) of unit/inverse pairs; the
+    empty word is the identity.  Rejects words with cancelling adjacencies.
+    """
+    (ga, ga_inv), (gb, gb_inv) = gens
+    table = {"a": ga, "A": ga_inv, "b": gb, "B": gb_inv}
+    for ch in word:
+        if ch not in table:
+            raise NotReducedError(f"letter {ch!r} is not in the alphabet a, A, b, B")
+    for x, y in zip(word, word[1:]):
+        if _INVERSE_LETTER[x] == y:
+            raise NotReducedError(f"word {word!r} is not freely reduced at {x}{y}")
+    result = AlgebraElement.one(ga.graph, ga.field)
+    for ch in word:
+        result = result * table[ch]
+    return result
 
 
 def count_reduced_words(max_len: int) -> int:

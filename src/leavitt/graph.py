@@ -12,11 +12,11 @@ exclusivity (condition (L)), and the MT-3 common-lower-bound check; the
 quotient by an admissible pair is built in ``ideals``, beside phi.  Graphs
 are immutable, so construction builds every structural table once: sorted
 out-edges and out-bundles, the kind of each vertex, its successor and
-predecessor vertices over edges and bundles, and the (CK2) table that maps
-each special edge to its siblings.  Every query reads those tables.  One closure decides hereditary saturation as well as computing it,
-one backward walk computes M(v), and MT-3 takes one such walk, from a member
-picked by the strongly connected components, which are computed once.  All
-analyses are pure.
+predecessor vertices over edges and bundles, the (CK2) table that maps each
+special edge to its siblings, and the set of all names.  Every query reads
+those tables.  One closure decides hereditary saturation as well as computing
+it, one backward walk computes M(v), and MT-3 takes one such walk, from a
+member that the strongly connected components pick.  All analyses are pure.
 """
 
 from __future__ import annotations
@@ -146,6 +146,7 @@ class Graph:
         self._ck2 = {
             out_v[-1]: out_v[:-1] for v, out_v in self._out.items() if self._kind[v] == REGULAR
         }
+        self.names = frozenset(names)  # every vertex, edge and bundle name
         self._cycle_report: CycleReport | None = None
         self._component_of: dict[str, str] | None = None
         self._identity: tuple | None = None  # the vertex monomials of AlgebraElement.one
@@ -156,6 +157,15 @@ class Graph:
         if v not in self._kind:
             raise UnknownVertexError(f"unknown vertex {v!r}")
         return v
+
+    def require_vertices(self, names: Iterable[str]) -> frozenset[str]:
+        """The set of the given vertex names, checked with one subset test;
+        the first unknown name, in the caller's order, raises."""
+        names = tuple(names) if iter(names) is names else names  # an iterator runs once
+        found = frozenset(names)
+        if not self._kind.keys() >= found:
+            self.require_vertex(next(v for v in names if v not in self._kind))
+        return found
 
     def require_edge(self, name: str) -> Edge:
         if name not in self.edges:
@@ -225,7 +235,7 @@ class Graph:
         it is checked once all of them are in.
         """
         closure = set(H)
-        todo = [self.require_vertex(v) for v in seed]
+        todo = list(self.require_vertices(seed))
         while todo:
             v = todo.pop()
             if v in closure:
@@ -245,7 +255,7 @@ class Graph:
     def breaking_vertices(self, H: Iterable[str]) -> frozenset[str]:
         """Infinite emitters outside H whose bundles all land in H and which
         keep at least one explicit edge into the complement of H."""
-        Hs = frozenset(self.require_vertex(v) for v in H)
+        Hs = self.require_vertices(H)
         if not self.is_hereditary_saturated(Hs):
             raise NotHereditarySaturatedError(f"{sorted(Hs)} is not hereditary and saturated")
         out = set()
@@ -265,7 +275,7 @@ class Graph:
         member below u(k+1) and below one below u1..uk is below all of them.
         Such a w shares the component of the member x of M that closes first
         (see ``_components``), so one walk back from x decides."""
-        M = frozenset(self.require_vertex(v) for v in subset)
+        M = self.require_vertices(subset)
         return not M or M <= self.reaching(next(x for x in self._components() if x in M))
 
     # cycles
@@ -384,9 +394,8 @@ class Graph:
         if bundle_name not in self.bundles:
             raise UnknownEdgeError(f"unknown bundle {bundle_name!r}")
         b = self.bundles[bundle_name]
-        taken = set(self.vertices) | set(self.edges) | set(self.bundles)
         i = 0
-        while f"{bundle_name}#{i}" in taken:
+        while f"{bundle_name}#{i}" in self.names:
             i += 1
         e = Edge(f"{bundle_name}#{i}", b.src, b.dst)
         g = Graph(self.vertices, [*self.edges.values(), e], self.bundles.values())
@@ -423,8 +432,7 @@ def quotient_graph(g: Graph, H: Iterable[str], S: Iterable[str]) -> Graph:
     (``ideals.clone_names`` of B_H\\S) and builds the quotient, beside phi.
     """
     from .ideals import AdmissiblePair  # ideals imports this module
-    Hs = frozenset(g.require_vertex(v) for v in H)
-    Ss = frozenset(g.require_vertex(v) for v in S)
+    Hs, Ss = g.require_vertices(H), g.require_vertices(S)
     pair = AdmissiblePair(g, Hs)  # the improper ideal is reported before S is checked
     return (pair.with_S(Ss) if pair.complement else pair).quotient_graph()
 

@@ -85,8 +85,8 @@ class AdmissiblePair:
 
     def __init__(self, graph: Graph, H, S=()):
         self.graph = graph
-        self.H = frozenset(graph.require_vertex(v) for v in H)
-        S = frozenset(graph.require_vertex(v) for v in S)
+        self.H = graph.require_vertices(H)
+        S = graph.require_vertices(S)
         try:
             self.breaking = graph.breaking_vertices(self.H)
         except NotHereditarySaturatedError:
@@ -107,7 +107,7 @@ class AdmissiblePair:
         checking H and computing the breaking vertices again."""
         pair = object.__new__(AdmissiblePair)
         pair.graph, pair.H, pair.breaking = self.graph, self.H, self.breaking
-        pair._set_S(frozenset(self.graph.require_vertex(v) for v in S))
+        pair._set_S(self.graph.require_vertices(S))
         return pair
 
     @property
@@ -170,19 +170,16 @@ class AdmissiblePair:
         if a.graph != self.graph:
             raise NotAdmissibleError("element does not live over this pair's graph")
         self.quotient_graph()  # raises NotAdmissibleError for the improper ideal
-        H, clones = self.H, self.clones
-        edges = self.graph.edges
+        H, clones, range_of = self.H, self.clones, self.graph.range_of
         for mono, coeff in a.terms.items():
-            gamma = mono.gamma  # r(g l*) = r(g), read inline: this loop runs per term
-            end = edges[gamma.edges[-1]].dst if gamma.edges else gamma.source
+            end = range_of(mono.gamma)  # r(g l*) = r(g)
             if end in H:
                 continue
             yield mono, coeff
             # graph names are unique, so a vertex key here means r is in B_H \ S
             head = clones.get(end)
             if head is not None:
-                primed = PathMonomial(_primed(gamma, clones, head), _primed(mono.lam, clones, head))
-                yield primed, coeff
+                yield PathMonomial(_primed(mono.gamma, clones, head), _primed(mono.lam, clones, head)), coeff
 
     def phi(self, a: AlgebraElement) -> AlgebraElement:
         """Apply the quotient epimorphism: ``phi_terms`` and one normalization
@@ -224,7 +221,7 @@ def clone_names(g: Graph, cloned: Iterable[str]) -> dict[str, str]:
     """
     heads = frozenset(cloned)
     arrows = [n for pool in (g.edges, g.bundles) for n, e in pool.items() if e.dst in heads]
-    taken = set(g.vertices) | set(g.edges) | set(g.bundles)
+    taken = set(g.names)
     names = {}
     for name in sorted(heads) + sorted(arrows):
         clone = f"{name}'"
@@ -249,7 +246,7 @@ def breaking_vertex_element(g: Graph, H, w: str, field=QQ) -> AlgebraElement:
     w is an infinite emitter, so CK2 never fires at it and each e e* is a
     basis monomial: the terms are written down directly.
     """
-    Hs = frozenset(g.require_vertex(v) for v in H)
+    Hs = g.require_vertices(H)
     if w not in g.breaking_vertices(Hs):
         raise NotBreakingVertexError(f"{w!r} is not a breaking vertex of {sorted(Hs)}")
     at_w = g.trivial_path(w)

@@ -193,10 +193,6 @@ class RationalPathModule(_BaseModule):
             prefix = graph.trivial_path(cycle.source)
         self.base = self.basis_path(*prefix)
 
-    def rotation_source(self, k: int) -> str:
-        """The source of the cycle edge at ``k`` (taken mod the length)."""
-        return self.graph.edges[self.cycle.edges[k % len(self.cycle.edges)]].src
-
     def _fold(self, p: Path) -> Path:
         """Drop trailing whole periods: p . c and p name the same infinite path."""
         c = self.cycle.edges

@@ -11,11 +11,12 @@ from fractions import Fraction
 
 from conftest import brute_normal_form, random_element, random_expr_tree, relation_elements
 from leavitt import examples
-from leavitt.algebra import AlgebraElement, eval_group_word, invert_unipotent
+from leavitt.algebra import AlgebraElement, invert_unipotent
 from leavitt.exprs import evaluate, normalize
 from leavitt.freeness import (
     BreakingVertexWitness,
     count_reduced_words,
+    eval_group_word,
     find_free_generators,
     verify_free_words,
 )
@@ -241,7 +242,7 @@ def _random_terminal_path(rng, g, terminal, max_len=5):
 
 def _random_rational_vector(rng, module, max_len=4):
     rot = rng.randrange(len(module.cycle.edges))
-    cur = module.rotation_source(rot)
+    cur = module.graph.edges[module.cycle.edges[rot]].src
     edges = []
     for _ in range(rng.randint(0, max_len)):
         incoming = sorted(n for n, e in module.graph.edges.items() if e.dst == cur)

@@ -18,12 +18,12 @@ from conftest import (
     shuffled_reduction,
     special_edge_of,
 )
-from leavitt import algebra, examples
+import leavitt
+from leavitt import algebra, examples, freeness
 from leavitt.algebra import (
     AlgebraElement,
     PathMonomial,
     _mono_mul,
-    eval_group_word,
     invert_unipotent,
 )
 from leavitt.errors import (
@@ -33,7 +33,7 @@ from leavitt.errors import (
     NotSquareZeroError,
 )
 from leavitt.exprs import evaluate, normalize, parse_expr
-from leavitt.freeness import find_free_generators, verify_free_words
+from leavitt.freeness import eval_group_word, find_free_generators, verify_free_words
 from leavitt.graph import Graph, Path
 from leavitt.modules import RationalPathModule
 from leavitt.scalars import ExtensionField, ExtensionScalar, LaurentPoly
@@ -407,6 +407,7 @@ def test_invert_unipotent_rejects_idempotent(toeplitz):
 
 
 def test_eval_group_word(toeplitz):
+    assert leavitt.eval_group_word is freeness.eval_group_word
     a, a_inv = invert_unipotent(normalize(toeplitz, "2*f^*"))
     b, b_inv = invert_unipotent(normalize(toeplitz, "2*f"))
     gens = ((a, a_inv), (b, b_inv))

@@ -71,6 +71,38 @@ def test_normalize(graph_file, capsys):
     assert json.loads(out)["normal_form"] == "u + v"
 
 
+def test_dash_led_expressions_are_arguments(graph_file, capsys):
+    """A word with one leading dash that names no option is a value, so an
+    expression may start with a minus sign and hold no space."""
+    path = graph_file(examples.toeplitz())
+    expected = "-6*e + 6*e*e*e^*\n"
+    for argv in (
+        [path, "-2*e*(3)*f*f^*"],
+        [path, "--", "-2*e*(3)*f*f^*"],
+        ["--json", path, "-2*e*(3)*f*f^*"],
+        [path, "-2*e*(3)*f*f^*", "--json"],
+    ):
+        code, out, err = run(capsys, "normalize", *argv)
+        assert (code, err) == (0, "")
+        text = json.loads(out)["normal_form"] + "\n" if "--json" in argv else out
+        assert text == expected
+    pair = ("--b", "1+2*f", "--max-len", "3", "--mode", "algebra", "--json")
+    code, out, err = run(capsys, "verify-free", path, "--a", "-2*f^*+1", *pair)
+    assert (code, err) == (0, "")
+    assert run(capsys, "verify-free", path, "--a=-2*f^*+1", *pair) == (code, out, err)
+    data = json.loads(out)
+    assert data["word_count"] == 52 and data["all_nontrivial"]
+    # -2*f^* is read as the generator, which is no unit: a domain error, not usage
+    code, out, err = run(capsys, "verify-free", path, "--a", "-2*f^*", "--b", "1+2*f")
+    assert (code, out) == (1, "") and "is not zero" in err
+    loops = graph_file(examples.chained_loops(), "loops.json")
+    code, out, _ = run(capsys, "classify", loops, "--H", "v", "--cycle", "e", "--poly", "-1-x-x^2")
+    assert code == 0 and out.startswith("verdict: typeIII")
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", path, "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: leavitt normalize")
+
+
 def test_classify(graph_file, capsys):
     path = graph_file(examples.double_emitter())
     code, out, _ = run(capsys, "classify", path, "--H", "u", "--S", "v", "--json")

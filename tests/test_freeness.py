@@ -11,7 +11,7 @@ from conftest import (
     random_element,
 )
 from leavitt import algebra, examples, freeness, ideals
-from leavitt.algebra import AlgebraElement, eval_group_word
+from leavitt.algebra import AlgebraElement
 from leavitt.errors import NoWitnessFoundError, NotInvariantError, NotSquareZeroError
 from leavitt.exprs import normalize
 from leavitt.freeness import (
@@ -24,6 +24,7 @@ from leavitt.freeness import (
     _tails,
     certificate_for,
     count_reduced_words,
+    eval_group_word,
     find_free_generators,
     is_commutative,
     reduced_words,

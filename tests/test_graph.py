@@ -64,6 +64,47 @@ def test_unknown_vertex(toeplitz):
         toeplitz.vertex_kind("zz")
 
 
+def test_require_vertices_raises_as_the_name_loops_did(double_emitter):
+    """Every vertex-name set goes through ``Graph.require_vertices``, which
+    raises for the first unknown name in the caller's order, as the
+    per-name loop ``frozenset(g.require_vertex(v) for v in names)`` did."""
+    g = double_emitter
+    pair = AdmissiblePair(g, ["u"])
+    entries = {
+        "require_vertices": g.require_vertices,
+        "AdmissiblePair H": lambda names: AdmissiblePair(g, names),
+        "AdmissiblePair S": lambda names: AdmissiblePair(g, ["u"], names),
+        "with_S": pair.with_S,
+        "quotient_graph H": lambda names: quotient_graph(g, names, ()),
+        "quotient_graph S": lambda names: quotient_graph(g, ["u"], names),
+        "breaking_vertices": g.breaking_vertices,
+        "satisfies_mt3": g.satisfies_mt3,
+        "breaking_vertex_element": lambda names: ideals.breaking_vertex_element(g, names, "v"),
+        "hereditary_saturated_closure": g.hereditary_saturated_closure,
+    }
+    for names in (["w", "x"], ["y", "w", "x"], ["x", "y"]):
+        fixed = set(names)  # one object, so both readings see one iteration order
+        for label, make in (("list", lambda: list(names)), ("set", lambda: fixed),
+                            ("generator", lambda: (v for v in names))):
+            with pytest.raises(UnknownVertexError) as old:
+                frozenset(g.require_vertex(v) for v in make())
+            for entry, call in entries.items():
+                with pytest.raises(UnknownVertexError) as new:
+                    call(make())
+                assert str(new.value) == str(old.value), (names, label, entry)
+    with pytest.raises(UnknownVertexError, match="^unknown vertex 'y'$"):
+        g.require_vertices(v for v in ["w", "y", "x"])
+    for names in (["w", "u", "w"], {"u", "w"}, (v for v in "uw"), "uw"):
+        assert g.require_vertices(names) == frozenset({"u", "w"})
+    assert g.require_vertices(()) == frozenset()
+
+
+def test_graph_names_are_its_vertices_edges_and_bundles(any_graph):
+    g = any_graph
+    assert g.names == set(g.vertices) | set(g.edges) | set(g.bundles)
+    assert len(g.names) == len(g.vertices) + len(g.edges) + len(g.bundles)
+
+
 def test_construction_rejections():
     with pytest.raises(DuplicateNameError):
         Graph(["u", "u"])

@@ -59,7 +59,7 @@ def _random_terminal_path(rng, g, terminal, max_len=5):
 
 def _random_rational_vector(rng, module, max_len=4):
     rot = rng.randrange(len(module.cycle.edges))
-    cur = module.rotation_source(rot)
+    cur = module.graph.edges[module.cycle.edges[rot]].src
     edges = []
     for _ in range(rng.randint(0, max_len)):
         incoming = sorted(n for n, e in module.graph.edges.items() if e.dst == cur)
@@ -500,6 +500,6 @@ def test_vector_from_is_the_basis_path_of_the_spelled_path(chained_loops):
         m = RationalPathModule(g, cycle)
         n = len(cycle.edges)
         for r in range(n):
-            for p in _paths_into(g, m.rotation_source(r), 2):
+            for p in _paths_into(g, g.edges[cycle.edges[r]].src, 2):
                 assert m.vector_from(p, r) == m.basis_path(p.source, p.edges + cycle.edges[r:])
                 assert m.vector_from(p, r + n) == m.vector_from(p, r)
