@@ -34,10 +34,13 @@ and r n* with s(l) = s(r), the product is zero unless one of l, r extends
 the other.  It keeps the tails of r n* when r is the longer, and those of
 g l* when l is, so it is a basis monomial; only l = r leaves g n*, which
 can reduce.  So ``mul`` writes the other products down and reduces only
-the exact-match ones (see ``AlgebraElement.mul``).  A product of raw
-monomials, such as a chain of generators, is one monomial or zero by (CK1),
-so ``add_monomial_product`` folds it without building an element per
-factor and reduces it once.
+the exact-match ones (see ``AlgebraElement.mul``).  A pure ghost n* on the
+right needs no comparison at all: (g l*) n* = g (n l)*, a basis monomial
+for nonempty l, so ``mul`` writes it down without ``_mono_mul``; and a
+right factor that contains the identity passes the left factor through as
+a copy of its terms.  A product of raw monomials, such as a chain of
+generators, is one monomial or zero by (CK1), so ``add_monomial_product``
+folds it without building an element per factor and reduces it once.
 
 Everything here is immutable and pure; products of independent elements can
 be evaluated concurrently without shared state.
@@ -129,13 +132,20 @@ def _normalize_terms(g: Graph, items, out: dict | None = None) -> dict:
 def generator_monomial(g: Graph, kind: str, name: str) -> PathMonomial:
     """The basis monomial of a generator: a vertex v is v v*, an edge e is
     e r(e)*, and its ghost e* is r(e) e*.  ``kind`` is "vertex", "edge" or
-    "ghost"; an unknown name raises the graph's lookup error."""
-    if kind == "vertex":
-        t = g.trivial_path(name)
-        return _new(PathMonomial, (t, t))
-    e = g.require_edge(name)
-    p, t = _new(Path, (e.src, (name,))), _new(Path, (e.dst, ()))
-    return _new(PathMonomial, (p, t) if kind == "edge" else (t, p))
+    "ghost"; an unknown name raises the graph's lookup error.  Each monomial
+    is built on first use and kept in the graph's table of generators."""
+    key = (kind, name)
+    mono = g._generators.get(key)
+    if mono is None:
+        if kind == "vertex":
+            t = g.trivial_path(name)
+            mono = _new(PathMonomial, (t, t))
+        else:
+            e = g.require_edge(name)
+            p, t = _new(Path, (e.src, (name,))), _new(Path, (e.dst, ()))
+            mono = _new(PathMonomial, (p, t) if kind == "edge" else (t, p))
+        g._generators[key] = mono
+    return mono
 
 
 def add_monomial_product(g: Graph, terms: dict, monomials: list, k) -> None:
@@ -277,27 +287,33 @@ class AlgebraElement:
           g l*, a basis monomial, by the same argument;
         * neither extends the other: the product is zero by CK1.
 
-        The right factor's terms are filed once, as records (r n*, edges of
-        r, coefficient), in three groups.  A vertex term v passes every g l*
-        with s(l) = v through, scaled by its coefficient, so when the right
-        factor has vertex terms these products fill the result first in one
-        pass.  A pure ghost n* (trivial r) composes with every g l* with
-        s(l) = s(n*).  A term with nonempty r is filed under the first edge
-        of r: by CK1 it meets a nonempty l only when l starts with that
-        edge, and it meets a trivial l at its source.  So each g l* tries
-        the ghosts at s(l) and, for nonempty l, the terms under its first
-        edge, or else every term with nonempty r at s(l).  Only l = r,
-        tested on the stored edges of r, can give a reducible g n*.  Those
-        products go through ``_normalize_terms`` together; every other one
-        is added directly.
+        The right factor's terms are filed once, in three groups.  A vertex
+        term v passes every g l* with s(l) = v through, scaled by its
+        coefficient, so when the right factor has vertex terms these
+        products fill the result first in one pass; when they are every
+        vertex with coefficient 1 (the factor contains the identity), that
+        pass is a copy of the left factor's terms.  A pure ghost n* (trivial
+        r) is filed as a record (n, coefficient) under s(n*) and multiplied
+        in closed form: for nonempty l, g l* n* is g (n l)*, which ends like
+        g l* and is added directly; for trivial l it is g n*, which may
+        reduce.  A term with nonempty r is filed as a record (r n*, edges
+        of r, coefficient) under the first edge of r: by CK1 it meets a
+        nonempty l only when l starts with that edge, and it meets a trivial
+        l at its source.  So each g l* takes the ghosts at s(l) and tries,
+        through ``_mono_mul``, the terms under its first edge, or for
+        trivial l every term with nonempty r at s(l).  Only l = r, tested
+        on the stored edges of r, and the ghosts met by a trivial l can give
+        a reducible g n*.  Those products go through ``_normalize_terms``
+        together; every other one is added directly.
         """
         self._check_graph(other)
+        g = self.graph
         field = scalars.join(self.field, other.field)
         a, b = self.with_field(field), other.with_field(field)
         # vertex and edge names are distinct, so one dict files the records
         # with nonempty r under both the first edge of r and s(r)
         vertex: dict[str, object] = {}  # s -> coefficient of the vertex term s
-        ghosts: dict[str, list] = {}  # s(n*) -> records of terms n* with trivial r
+        ghosts: dict[str, list] = {}  # s(n*) -> records (n, coefficient) of terms n* with trivial r
         reals: dict[str, list] = {}  # first edge of r, and s(r) -> records of terms r n*
         for m2, c2 in b.terms.items():
             source, r = m2.gamma
@@ -306,25 +322,29 @@ class AlgebraElement:
                 reals.setdefault(r[0], []).append(record)
                 reals.setdefault(source, []).append(record)
             elif m2.lam.edges:
-                ghosts.setdefault(source, []).append((m2, r, c2))
+                ghosts.setdefault(source, []).append((m2.lam, c2))
             else:
                 vertex[source] = c2
         terms = {}
         if vertex:
-            get = vertex.get
-            terms = {
-                m1: p for m1, c1 in a.terms.items() if (c := get(m1.lam.source)) is not None and (p := c1 * c)
-            }
+            if len(vertex) == len(g.vertices) and all(c == field.one for c in vertex.values()):
+                terms = dict(a.terms)  # the right factor contains the identity
+            else:
+                get = vertex.get
+                terms = {
+                    m1: p for m1, c1 in a.terms.items() if (c := get(m1.lam.source)) is not None and (p := c1 * c)
+                }
         exact = []
-        tries: dict[str, list] = {}  # first edge of l, or s(l) for trivial l -> candidates
         for m1, c1 in a.terms.items():
             gamma, lam = m1
-            edges = lam.edges
-            key = edges[0] if edges else lam.source
-            pairs = tries.get(key)
-            if pairs is None:
-                pairs = tries[key] = ghosts.get(lam.source, []) + reals.get(key, [])
-            for m2, r, c2 in pairs:
+            source, edges = lam
+            if source in ghosts:
+                if edges:  # g (n l)*, which ends like g l*
+                    for n, c2 in ghosts[source]:
+                        add_term(terms, _new(PathMonomial, (gamma, _new(Path, (n.source, n.edges + edges)))), c1 * c2)
+                else:  # g n*, which may reduce
+                    exact += [(_new(PathMonomial, (gamma, n)), c1 * c2) for n, c2 in ghosts[source]]
+            for m2, r, c2 in reals.get(edges[0] if edges else source, ()):
                 if r == edges:  # l = r
                     exact.append((PathMonomial(gamma, m2.lam), c1 * c2))
                     continue
@@ -332,8 +352,8 @@ class AlgebraElement:
                 if prod is not None:
                     add_term(terms, prod, c1 * c2)
         if exact:
-            _normalize_terms(self.graph, exact, terms)
-        return AlgebraElement(self.graph, field, terms)
+            _normalize_terms(g, exact, terms)
+        return AlgebraElement(g, field, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, scalars.ExtensionScalar)):

@@ -23,47 +23,49 @@ from .graph import IDENT, Graph
 from .scalars import QQ, rational_literal
 
 
-# expression-tree nodes
+# expression-tree nodes: slotted, mutable dataclasses, since a frozen one
+# sets each field through object.__setattr__ when the parser builds it;
+# equality compares the class and the fields, and no node is hashed
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Lit:
     value: int | Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VertexSym:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EdgeSym:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GhostSym:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sum:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Diff:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Prod:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Neg:
     arg: object
 
@@ -217,10 +219,12 @@ def evaluate(g: Graph, tree, field=QQ) -> AlgebraElement:
     are all vertices, edges and ghosts folds left to right into one raw
     monomial, which is reduced once and added, times k, into the sum's
     dict; a lone generator adds its one monomial, and a chain of literals
-    alone adds k to each of the |V| vertex monomials of the identity.
-    Any other chain multiplies its factors as elements with
-    ``AlgebraElement.mul``.  Either way a chain stops at its first zero
-    partial product, and the factors after it are never evaluated.
+    alone adds k to each of the |V| vertex monomials of the identity.  The
+    generator monomials come from the graph's table (see
+    ``generator_monomial``).  Any other chain multiplies its factors as
+    elements with ``AlgebraElement.mul``.  Either way a chain stops at its
+    first zero partial product, and the factors after it are never
+    evaluated.
 
     Chains are walked in loops, so only parentheses nest the recursion; a
     tree nested past the recursion limit is a :class:`ParseError`.

@@ -356,6 +356,13 @@ def _edge_witness(q: Graph, fname: str, tails: dict):
 
 _LETTERS = "aAbB"
 _INVERSE_LETTER = {"a": "A", "A": "a", "b": "B", "B": "b"}
+# the last letter of a reduced word ("" for the empty word) -> the letters
+# that extend it to a reduced word, in push order: _LETTERS reversed, less
+# the inverse of the last letter
+_NEXT_LETTERS = {
+    last: tuple(ch for ch in reversed(_LETTERS) if _INVERSE_LETTER.get(last) != ch)
+    for last in ("", *_LETTERS)
+}
 
 
 def eval_group_word(gens, word: str) -> AlgebraElement:
@@ -388,9 +395,7 @@ def reduced_words(max_len: int):
     stack = [""]
     while stack:
         word = stack.pop()
-        for ch in reversed(_LETTERS):
-            if word and _INVERSE_LETTER[word[-1]] == ch:
-                continue
+        for ch in _NEXT_LETTERS[word[-1:]]:
             new = word + ch
             yield new
             if len(new) < max_len:
@@ -465,9 +470,7 @@ def verify_free_words(cert: FreePairCertificate, max_len: int = 6, mode: str = "
     stack = [("", None, ident)]
     while stack and failure is None:
         word, x, mat = stack.pop()
-        for ch in reversed(_LETTERS):
-            if word and _INVERSE_LETTER[word[-1]] == ch:
-                continue
+        for ch in _NEXT_LETTERS[word[-1:]]:
             new_word = word + ch
             t = offsets[ch]
             new_x = None

@@ -150,6 +150,7 @@ class Graph:
         self._cycle_report: CycleReport | None = None
         self._component_of: dict[str, str] | None = None
         self._identity: tuple | None = None  # the vertex monomials of AlgebraElement.one
+        self._generators: dict = {}  # (kind, name) -> the monomial of a generator, filled on first use
 
     # basic queries
 

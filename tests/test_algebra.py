@@ -36,7 +36,7 @@ from leavitt.exprs import evaluate, normalize, parse_expr
 from leavitt.freeness import eval_group_word, find_free_generators, verify_free_words
 from leavitt.graph import Graph, Path
 from leavitt.modules import RationalPathModule
-from leavitt.scalars import ExtensionField, ExtensionScalar, LaurentPoly
+from leavitt.scalars import QQ, ExtensionField, ExtensionScalar, LaurentPoly
 
 
 def test_ck1_annihilation(toeplitz):
@@ -292,25 +292,93 @@ def test_products_with_a_partial_or_uneven_vertex_part_match_the_oracle(toeplitz
             assert left.mul(other).terms == shuffled_reduction(toeplitz, raw, seed)
 
 
-def test_rose_products_multiply_only_nonzero_non_vertex_pairs(monkeypatch):
-    # mul settles a vertex right-hand term and a CK1 clash of first edges
-    # itself, so over the rose products every pair _mono_mul sees is nonzero
-    seen = []
+def _without_vertex_terms(x):
+    return AlgebraElement(x.graph, x.field, {m: c for m, c in x.terms.items() if m.gamma.edges or m.lam.edges})
+
+
+def _closed_form_factors(rng, g, field):
+    """(left, right) factors that reach mul's two closed forms.  Right
+    factors: the identity plus x, twice the identity plus x, one vertex plus
+    x (x without vertex terms), and sums of ghosts of special edges; left
+    factors: random elements, and edges d + x with d special, whose trivial
+    l meets the ghost d^* in d d^*, a monomial that (CK2) rewrites."""
+    one = AlgebraElement.one(g, field)
+
+    def offset():
+        x = _without_vertex_terms(random_element(rng, g)).with_field(field)
+        return x.scale(_random_cubic_unit(rng)) if field is CUBIC_UNITS else x
+
+    specials = sorted(d for d in (special_edge_of(g, v) for v in g.vertices) if d)
+    rights, lefts = [], []
+    for _ in range(2):
+        rights += [one + offset(), one.scale(2) + offset(), AlgebraElement.vertex(g, rng.choice(g.vertices), field) + offset()]
+        lefts.append(offset())
+    for d in specials:
+        ghost = AlgebraElement.ghost(g, d, field)
+        rights += [ghost, ghost + AlgebraElement.ghost(g, rng.choice(sorted(g.edges)), field)]
+        lefts += [AlgebraElement.edge(g, d, field), AlgebraElement.edge(g, d, field) + offset()]
+    return lefts, rights
+
+
+@pytest.mark.parametrize("name", sorted(examples.ALL) + ["R2", "R3"])
+@pytest.mark.parametrize("extension", [False, True])
+def test_closed_form_products_match_the_oracle(name, extension, monkeypatch):
+    # a pure ghost n* on the right is multiplied without _mono_mul: g (n l)*
+    # for nonempty l, and g n* (which may reduce) for trivial l; a right
+    # factor whose vertex part is the identity passes the left factor through
+    # as a copy.  Every product is checked against the raw expansion.
+    g = PRODUCT_GRAPHS[name]
+    field = CUBIC_UNITS if extension else QQ
+    rng = random.Random(f"closed forms/{name}/{extension}")
+    lefts, rights = _closed_form_factors(rng, g, field)
     mono_mul = algebra._mono_mul
+
+    def real_pairs_only(m1, m2):
+        assert m2.gamma.edges, f"the pure ghost {m2} reached _mono_mul"
+        return mono_mul(m1, m2)
+
+    monkeypatch.setattr(algebra, "_mono_mul", real_pairs_only)
+    reduced = 0
+    for seed, (left, right) in enumerate((x, y) for x in lefts for y in rights):
+        raw = raw_monomials(_raw_product(raw_terms(left), raw_terms(right)))
+        want = shuffled_reduction(g, raw, seed)
+        assert left.mul(right).terms == want, (str(left), str(right))
+        reduced += want != {m: c for m, c in raw if c}
+    if any(special_edge_of(g, v) for v in g.vertices):
+        assert reduced  # (CK2) fired in some product
+
+
+def test_rose_products_multiply_only_nonzero_non_vertex_pairs(monkeypatch):
+    # mul settles a vertex right-hand term, a pure ghost right-hand term
+    # (in closed form) and a CK1 clash of first edges itself, so over the
+    # rose products every pair _mono_mul sees is nonzero, and every pair
+    # that mul sends it has nonempty r (a chain of generators still folds
+    # its ghost factors through _mono_mul in add_monomial_product)
+    seen, in_mul = [], []
+    mono_mul, mul = algebra._mono_mul, AlgebraElement.mul
 
     def recorded(m1, m2):
         prod = mono_mul(m1, m2)
-        seen.append((m2, prod))
+        seen.append((m2, prod, bool(in_mul)))
         return prod
 
+    def marked(self, other):
+        in_mul.append(1)
+        try:
+            return mul(self, other)
+        finally:
+            in_mul.pop()
+
     monkeypatch.setattr(algebra, "_mono_mul", recorded)
+    monkeypatch.setattr(AlgebraElement, "mul", marked)
     for name in ("R2", "R3", "R4", "R5"):
         g, texts = _six_factor_products(name)
         for text in texts:
             normalize(g, text)
-    assert seen
-    assert all(prod is not None for _, prod in seen)
-    assert all(m2.gamma.edges or m2.lam.edges for m2, _ in seen)
+    assert any(from_mul for _, _, from_mul in seen)
+    assert all(prod is not None for _, prod, _ in seen)
+    assert all(m2.gamma.edges or m2.lam.edges for m2, _, _ in seen)
+    assert all(m2.gamma.edges for m2, _, from_mul in seen if from_mul)
 
 
 def test_literal_factors_scale_once(toeplitz, monkeypatch):

@@ -14,8 +14,8 @@ from conftest import (
     random_path_into,
 )
 from leavitt import examples
-from leavitt.algebra import AlgebraElement
-from leavitt.errors import ParseError, UnknownSymbolError
+from leavitt.algebra import AlgebraElement, PathMonomial
+from leavitt.errors import ParseError, UnknownEdgeError, UnknownSymbolError
 from leavitt.exprs import (
     Diff,
     EdgeSym,
@@ -29,7 +29,7 @@ from leavitt.exprs import (
     normalize,
     parse_expr,
 )
-from leavitt.graph import Graph, graph_from_json, graph_to_json
+from leavitt.graph import Graph, Path, graph_from_json, graph_to_json
 from leavitt.scalars import ExtensionField, LaurentPoly
 
 
@@ -301,3 +301,39 @@ def test_a_chain_stops_at_its_first_zero_partial_product(monkeypatch):
         results.clear()
         assert normalize(g, f"{x}*({relation})*{y}").is_zero()
         assert [r.is_zero() for r in results] == [False] * (products - 1) + [True], relation
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_generator_monomials_belong_to_their_graph(first):
+    # e runs u -> v in one graph and u -> u in the other; each graph keeps
+    # its own generator monomials, whichever graph normalizes first.  e is
+    # the special edge at u only in the first graph, so only there does
+    # (CK2) turn e e^* into u
+    graphs = [Graph(["u", "v"], [("e", "u", "v")]), Graph(["u", "w"], [("e", "u", "u"), ("k", "u", "w")])]
+    u = PathMonomial(Path("u", ()), Path("u", ()))
+    e_e = PathMonomial(Path("u", ("e",)), Path("u", ("e",)))
+    wants = [("v", {u: 2}), ("u", {e_e: 2})]
+    for i in (first, 1 - first):
+        g, (r, square) = graphs[i], wants[i]
+        edge = PathMonomial(Path("u", ("e",)), Path(r, ()))
+        for _ in range(2):
+            assert normalize(g, "e").terms == {edge: 1}
+            assert normalize(g, "e^*").terms == {edge.star(): 1}
+            assert normalize(g, "2*e*e^*").terms == square
+
+
+def test_an_unknown_generator_raises_every_time_and_is_not_kept(toeplitz):
+    # a hand-built tree can name an edge the graph lacks; the lookup raises
+    # on every evaluation and leaves no entry in the graph's generator table
+    for tree in (EdgeSym("zz"), Prod(Lit(2), GhostSym("zz")), Sum(VertexSym("u"), EdgeSym("zz"))):
+        for _ in range(2):
+            with pytest.raises(UnknownEdgeError, match="zz"):
+                evaluate(toeplitz, tree)
+    assert not any(name == "zz" for _, name in toeplitz._generators)
+
+
+def test_nodes_compare_by_class_and_fields():
+    x, y = VertexSym("u"), EdgeSym("e")
+    assert Sum(x, y) != Prod(x, y) and Sum(x, y) != Diff(x, y)
+    assert EdgeSym("e") != GhostSym("e") and VertexSym("e") != EdgeSym("e")
+    assert Sum(x, y) == Sum(VertexSym("u"), EdgeSym("e")) and Neg(x) == Neg(VertexSym("u"))

@@ -233,6 +233,10 @@ def test_matrix_mode_builds_no_quotient_element(monkeypatch):
 def test_reduced_word_enumeration():
     words1 = list(reduced_words(1))
     assert sorted(words1) == ["A", "B", "a", "b"]
+    # depth-first, each word's extensions pushed in the reverse of "aAbB"
+    assert list(reduced_words(2)) == [
+        "B", "b", "A", "a", "aB", "ab", "aa", "AB", "Ab", "AA", "bb", "bA", "ba", "BB", "BA", "Ba",
+    ]
     words3 = list(reduced_words(3))
     assert len(words3) == count_reduced_words(3) == 52
     assert len(set(words3)) == len(words3)
